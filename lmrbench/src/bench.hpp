@@ -130,6 +130,20 @@ struct Tail {
 /// Milliseconds since `t0`.
 [[nodiscard]] double ms_since(lmr::core::Clock::time_point t0);
 
+/// Move the calling thread onto the `k`-th CPU it may run on (modulo their
+/// count), then let it run on all of them again. Threads it starts later
+/// keep the full set. Set-up `k` starts this way, so set-ups come in rounds
+/// of one per CPU.
+void start_on_cpu(std::size_t k);
+
+/// setup_s from set-up wall times in the order of `start_on_cpu(k)`: the
+/// median over whole rounds of each round's fastest set-up. On a shared host
+/// a vCPU can run a single thread far slower than the others for minutes (a
+/// busy neighbour on its physical core); that only ever adds time, so the
+/// fastest of a round is the program's own cost, and the median over rounds
+/// drops a lucky one.
+[[nodiscard]] double setup_figure(const std::vector<double>& samples);
+
 // --- workloads (one process runs one) ---
 void run_route_workload(const RunConfig& cfg, Tracer* tracer, Outcome& out);
 void run_edit_stream(const RunConfig& cfg, Tracer* tracer, Outcome& out);

@@ -1,3 +1,4 @@
+#include <sched.h>
 #include <sys/resource.h>
 
 #include <algorithm>
@@ -21,6 +22,13 @@ namespace {
 /// (see lmrbench/README.md), so the benchmark does not use them as inputs.
 constexpr std::uint64_t kBoardSeedOffsets[] = {0,  1,  3,  4,  5,  9,  10, 11,
                                                12, 13, 21, 23, 25, 26, 29, 30};
+
+/// Fill `set` with the CPUs this process may run on; returns their count,
+/// 0 when the kernel will not say.
+int allowed_cpus(cpu_set_t& set) {
+  CPU_ZERO(&set);
+  return sched_getaffinity(0, sizeof set, &set) == 0 ? CPU_COUNT(&set) : 0;
+}
 
 }  // namespace
 
@@ -158,5 +166,36 @@ std::string fmt(const char* format, ...) {
 }
 
 double ms_since(lmr::core::Clock::time_point t0) { return lmr::core::seconds_since(t0) * 1e3; }
+
+void start_on_cpu(std::size_t k) {
+  cpu_set_t all;
+  const int n = allowed_cpus(all);
+  if (n < 2) return;
+  std::size_t skip = k % static_cast<std::size_t>(n);
+  for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
+    if (!CPU_ISSET(cpu, &all) || skip-- > 0) continue;
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    CPU_SET(cpu, &one);
+    // Narrowing the mask migrates the thread before the call returns;
+    // widening it again leaves the thread where it is.
+    (void)sched_setaffinity(0, sizeof one, &one);
+    break;
+  }
+  (void)sched_setaffinity(0, sizeof all, &all);
+}
+
+double setup_figure(const std::vector<double>& samples) {
+  cpu_set_t all;
+  const auto round =
+      std::min(static_cast<std::size_t>(std::max(1, allowed_cpus(all))), samples.size());
+  if (round == 0) return 0.0;
+  std::vector<double> fastest;
+  for (std::size_t i = 0; i + round <= samples.size(); i += round) {
+    const auto first = samples.begin() + static_cast<std::ptrdiff_t>(i);
+    fastest.push_back(*std::min_element(first, first + static_cast<std::ptrdiff_t>(round)));
+  }
+  return median(fastest);
+}
 
 }  // namespace lmrbench

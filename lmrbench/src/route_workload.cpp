@@ -17,11 +17,11 @@ using lmr::pipeline::Router;
 /// Warm-up passes, untimed: the first mega_board pass runs ~3x slower
 /// (pool start-up, allocator growth, cold caches).
 constexpr int kWarmupPasses = 2;
-/// Set-ups repeat for at least this long, and at least kMinSetups times;
-/// setup_s is their median. One set-up takes tens of ms, so a single one is
-/// mostly noise.
-constexpr double kSetupSeconds = 1.0;
-constexpr std::size_t kMinSetups = 5;
+/// Set-ups repeat for at least this long, and at least kMinSetups times,
+/// each started on the next CPU in turn (see setup_figure). One set-up
+/// takes tens of ms, so a single one is mostly noise.
+constexpr double kSetupSeconds = 2.0;
+constexpr std::size_t kMinSetups = 8;
 
 /// Same routed outcome: every member's final length and verdict, and every
 /// group's violation count. Route output is deterministic, so any difference
@@ -52,11 +52,12 @@ void run_route_workload(const RunConfig& cfg, Tracer* tracer, Outcome& out) {
   std::vector<Board> boards;
   const auto t_setups = lmr::core::now();
   while (setup_s.size() < kMinSetups || lmr::core::seconds_since(t_setups) < kSetupSeconds) {
+    start_on_cpu(setup_s.size());
     const auto t0 = lmr::core::now();
     boards = mega ? mega_boards(cfg.seed, tracer) : paper_boards(cfg.seed, tracer);
     setup_s.push_back(lmr::core::seconds_since(t0));
   }
-  out.set("setup_s", median(setup_s));
+  out.set("setup_s", setup_figure(setup_s));
 
   // One executor shared by every board's Router: the bench thread is the
   // extra participant, so threads - 1 workers give `threads` claimers.
