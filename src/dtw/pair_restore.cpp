@@ -177,20 +177,13 @@ double pitch_at_point(const geom::Polyline& reference, std::span<const double> p
 /// (self rules always; containment/obstacles when the caller supplied them).
 std::vector<layout::Violation> oracle_violations(
     const layout::Trace& t, const drc::DesignRules& rules,
-    const layout::RoutableArea* area, const layout::ObstacleSelector* obstacles) {
+    const layout::RoutableArea* area, const layout::ObstacleIndex* obstacles) {
   const layout::DrcChecker checker;
   std::vector<layout::Violation> out = checker.check_trace(t, rules);
   const auto append = [&out](std::vector<layout::Violation> v) {
     out.insert(out.end(), v.begin(), v.end());
   };
-  if (obstacles != nullptr) {
-    // Everything obstacle clearance can reach from this candidate path; the
-    // selector falls back to the full board list when the splice escaped the
-    // tile-local coverage, so the verdict never depends on tiling.
-    const geom::Box need = t.path.bbox().inflated(
-        rules.effective_obs() + layout::DrcCheckOptions{}.tolerance + 1e-9);
-    append(checker.check_obstacles(t, rules, obstacles->select(need)));
-  }
+  if (obstacles != nullptr) append(checker.check_obstacles(t, rules, *obstacles));
   if (area != nullptr && !area->outline.empty()) {
     append(checker.check_containment(t, *area));
   }
@@ -333,21 +326,15 @@ double compensate_skew(layout::DiffPair& pair, const drc::DesignRules& sub_rules
                        const std::vector<layout::Obstacle>* obstacles) {
   if (obstacles == nullptr) {
     return compensate_skew(pair, sub_rules, area,
-                           static_cast<const layout::ObstacleSelector*>(nullptr));
+                           static_cast<const layout::ObstacleIndex*>(nullptr));
   }
-  std::vector<layout::ObstacleRef> refs;
-  refs.reserve(obstacles->size());
-  for (std::size_t oi = 0; oi < obstacles->size(); ++oi) {
-    refs.push_back({&(*obstacles)[oi], static_cast<std::uint32_t>(oi)});
-  }
-  // Empty coverage: every probe selects the full list — plain board checking.
-  const layout::ObstacleSelector sel{refs, refs, geom::Box{}};
-  return compensate_skew(pair, sub_rules, area, &sel);
+  const layout::ObstacleIndex index(*obstacles);
+  return compensate_skew(pair, sub_rules, area, &index);
 }
 
 double compensate_skew(layout::DiffPair& pair, const drc::DesignRules& sub_rules,
                        const layout::RoutableArea* area,
-                       const layout::ObstacleSelector* obstacles) {
+                       const layout::ObstacleIndex* obstacles) {
   const double lp = pair.positive.path.length();
   const double ln = pair.negative.path.length();
   const double skew = std::abs(lp - ln);

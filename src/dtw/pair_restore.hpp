@@ -122,14 +122,11 @@ double compensate_skew(layout::DiffPair& pair, const drc::DesignRules& sub_rules
                        const layout::RoutableArea* area = nullptr,
                        const std::vector<layout::Obstacle>* obstacles = nullptr);
 
-/// Tile-aware variant: obstacle clearance goes through the selector, which
-/// serves the tile-local obstacle subset when the spliced candidate stays
-/// inside the tile's coverage and transparently falls back to the full board
-/// list when the hat pokes past it — verdicts (and therefore host choice)
-/// are independent of how the board was tiled. Null behaves like the
-/// obstacle-less overload.
+/// Same, with obstacle clearance checked through a prebuilt index (the
+/// Router shares one per route call); the vector overload builds one. Null
+/// behaves like the obstacle-less overload.
 double compensate_skew(layout::DiffPair& pair, const drc::DesignRules& sub_rules,
                        const layout::RoutableArea* area,
-                       const layout::ObstacleSelector* obstacles);
+                       const layout::ObstacleIndex* obstacles);
 
 }  // namespace lmr::dtw

@@ -114,32 +114,54 @@ std::vector<Violation> DrcChecker::check_trace(const Trace& t,
 std::vector<Violation> DrcChecker::check_obstacles(
     const Trace& t, const drc::DesignRules& rules,
     const std::vector<Obstacle>& obstacles) const {
-  std::vector<ObstacleRef> refs;
-  refs.reserve(obstacles.size());
-  for (std::size_t oi = 0; oi < obstacles.size(); ++oi) {
-    refs.push_back({&obstacles[oi], static_cast<std::uint32_t>(oi)});
-  }
-  return check_obstacles(t, rules, std::span<const ObstacleRef>(refs));
-}
-
-std::vector<Violation> DrcChecker::check_obstacles(
-    const Trace& t, const drc::DesignRules& rules,
-    std::span<const ObstacleRef> obstacles) const {
   std::vector<Violation> out;
   const double clear = rules.effective_obs();
-  for (const ObstacleRef& ref : obstacles) {
-    const geom::Polygon& poly = ref.obstacle->shape;
+  for (std::size_t oi = 0; oi < obstacles.size(); ++oi) {
+    const geom::Polygon& poly = obstacles[oi].shape;
     const geom::Box grown = poly.bbox().inflated(clear + opts_.tolerance);
     for (std::size_t i = 0; i < t.path.segment_count(); ++i) {
       const Segment s = t.path.segment(i);
       if (!grown.intersects(s.bbox())) continue;
       const double d = geom::dist_segment_polygon(s, poly);
       if (d + opts_.tolerance < clear) {
-        out.push_back({ViolationKind::ObstacleClearance, t.id, 0, i, ref.index, d,
-                       clear, "trace too close to obstacle " + ref.obstacle->name});
+        out.push_back({ViolationKind::ObstacleClearance, t.id, 0, i, oi, d, clear,
+                       "trace too close to obstacle " + obstacles[oi].name});
       }
     }
   }
+  return out;
+}
+
+std::vector<Violation> DrcChecker::check_obstacles(const Trace& t,
+                                                   const drc::DesignRules& rules,
+                                                   const ObstacleIndex& obstacles) const {
+  std::vector<Violation> out;
+  const double clear = rules.effective_obs();
+  const double reach = clear + opts_.tolerance;
+  std::vector<std::uint32_t> near;
+  for (std::size_t i = 0; i < t.path.segment_count(); ++i) {
+    const Segment s = t.path.segment(i);
+    const geom::Box sb = s.bbox();
+    // Query a hair beyond `reach`, scaled with the coordinates, so rounding
+    // in the inflated-bbox test below can never pass an obstacle the query
+    // left out. The test itself is the scan's, on the same doubles.
+    const double mag = std::max({std::abs(sb.lo.x), std::abs(sb.lo.y), std::abs(sb.hi.x),
+                                 std::abs(sb.hi.y), reach});
+    obstacles.query(sb.inflated(reach + 1e-9 + 1e-12 * mag), near);
+    for (const std::uint32_t oi : near) {
+      if (!obstacles.bbox(oi).inflated(reach).intersects(sb)) continue;
+      const Obstacle& o = obstacles.obstacle(oi);
+      const double d = geom::dist_segment_polygon(s, o.shape);
+      if (d + opts_.tolerance < clear) {
+        out.push_back({ViolationKind::ObstacleClearance, t.id, 0, i, oi, d, clear,
+                       "trace too close to obstacle " + o.name});
+      }
+    }
+  }
+  // The scan's order: obstacle-major, then segment.
+  std::sort(out.begin(), out.end(), [](const Violation& a, const Violation& b) {
+    return a.index_b != b.index_b ? a.index_b < b.index_b : a.index_a < b.index_a;
+  });
   return out;
 }
 

@@ -26,13 +26,13 @@
 ///    more (the paper: right/acute rotations must be mitered by obtuse
 ///    angles).
 
-#include <span>
 #include <string>
 #include <vector>
 
 #include "drc/rules.hpp"
 #include "geom/polyline.hpp"
 #include "layout/layout.hpp"
+#include "layout/obstacle_index.hpp"
 #include "layout/routable_area.hpp"
 
 namespace lmr::layout {
@@ -60,36 +60,6 @@ struct Violation {
 
 const char* to_string(ViolationKind k);
 
-/// Original-index-preserving reference to one layout obstacle. Obstacle
-/// violations record the obstacle's position in the board's obstacle list
-/// (`Violation::index_b`), so any filtered view must carry the original
-/// index along — a subset checked through refs reports byte-identical
-/// violations to checking the full list.
-struct ObstacleRef {
-  const Obstacle* obstacle = nullptr;
-  std::uint32_t index = 0;  ///< position in the layout's obstacle list
-};
-
-/// Tile-local obstacle view with an exactness guard. `local` lists every
-/// obstacle whose shape bbox intersects `coverage` (in ascending original
-/// index); a query whose probe box is not wholly inside `coverage` falls
-/// back to `full`. Selection therefore never changes which violations are
-/// found — only how many obstacles a check has to scan — even when routed
-/// geometry escapes the tile it was planned into.
-struct ObstacleSelector {
-  std::span<const ObstacleRef> local;
-  std::span<const ObstacleRef> full;
-  geom::Box coverage;  ///< region `local` is complete for; empty = always full
-
-  [[nodiscard]] std::span<const ObstacleRef> select(const geom::Box& need) const {
-    if (!need.empty() && !coverage.empty() && coverage.contains(need.lo) &&
-        coverage.contains(need.hi)) {
-      return local;
-    }
-    return full;
-  }
-};
-
 /// Checker options.
 struct DrcCheckOptions {
   /// Numeric slack: measurements may fall short of the rule by this much
@@ -109,16 +79,19 @@ class DrcChecker {
   [[nodiscard]] std::vector<Violation> check_trace(const Trace& t,
                                                    const drc::DesignRules& rules) const;
 
-  /// Trace vs obstacle clearances.
+  /// Trace vs obstacle clearances: every obstacle against every segment.
+  /// The brute-force reference the indexed overload is tested against.
   [[nodiscard]] std::vector<Violation> check_obstacles(
       const Trace& t, const drc::DesignRules& rules,
       const std::vector<Obstacle>& obstacles) const;
 
-  /// Same check over an index-preserving subset view (tile-local routing);
-  /// refs must be in ascending original index for identical violation order.
+  /// Same check through an obstacle index: each segment tests only the
+  /// obstacles near it. Violations are identical to the brute-force
+  /// overload's over the indexed list, field for field and in the same
+  /// (obstacle index, segment index) order.
   [[nodiscard]] std::vector<Violation> check_obstacles(
       const Trace& t, const drc::DesignRules& rules,
-      std::span<const ObstacleRef> obstacles) const;
+      const ObstacleIndex& obstacles) const;
 
   /// Trace containment in its routable area.
   [[nodiscard]] std::vector<Violation> check_containment(const Trace& t,

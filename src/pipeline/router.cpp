@@ -15,6 +15,7 @@
 
 #include "baseline/aidt_style.hpp"
 #include "core/clock.hpp"
+#include "core/contract.hpp"
 #include "dtw/dtw.hpp"
 #include "dtw/median_trace.hpp"
 #include "dtw/pair_restore.hpp"
@@ -32,9 +33,9 @@ struct MemberWork {
   layout::GroupMember member;
   double target = 0.0;
   const layout::RoutableArea* area = nullptr;
-  /// Obstacle view (read-only during routing) for restore validation and
-  /// the per-net oracle: tile-local subset with full-board fallback.
-  const layout::ObstacleSelector* obstacles = nullptr;
+  /// The route call's obstacle index (read-only, shared by every member)
+  /// for restore validation and the per-net oracle.
+  const layout::ObstacleIndex* obstacles = nullptr;
   layout::Trace trace;    ///< single-ended members
   layout::DiffPair pair;  ///< differential members
   /// Rollback snapshots, filled by write-back *moving* the layout's
@@ -232,29 +233,6 @@ void restore_paths(layout::Layout& layout, std::vector<SavedPath>& saved) {
   }
 }
 
-/// Everything one group's route reads or writes, geometrically: member
-/// routable-area bboxes plus the members' current (pre-route) paths. The
-/// planner assigns a group to a tile only when this box fits wholly inside
-/// it; routed geometry normally stays inside the member areas, and when it
-/// escapes anyway the ObstacleSelector guard falls back to the full board,
-/// so tile assignment is a performance decision, never a correctness one.
-geom::Box group_reach(const layout::Layout& layout, const layout::MatchGroup& group) {
-  geom::Box reach;
-  for (const layout::GroupMember& m : group.members) {
-    if (const layout::RoutableArea* area = layout.routable_area(m.id)) {
-      reach.expand(area->bbox());
-    }
-    if (m.kind == layout::MemberKind::SingleEnded) {
-      reach.expand(layout.trace(m.id).path.bbox());
-    } else {
-      const layout::DiffPair& pair = layout.pair(m.id);
-      reach.expand(pair.positive.path.bbox());
-      reach.expand(pair.negative.path.bbox());
-    }
-  }
-  return reach;
-}
-
 }  // namespace
 
 bool RouteResult::matched() const {
@@ -276,11 +254,14 @@ Router::Router(drc::DesignRules rules, RouterOptions options)
 }
 
 RouteResult Router::route(layout::Layout& layout, std::size_t group_index) const {
-  return run(layout, group_index, 1);
+  const layout::Layout::RoutingFreeze freeze = layout.freeze_for_routing();
+  return run(layout, group_index, 1, layout::ObstacleIndex(layout.obstacles()));
 }
 
 RouteResult Router::route_batch(layout::Layout& layout, std::size_t group_index) const {
-  return run(layout, group_index, exec::resolve_threads(options_.threads));
+  const layout::Layout::RoutingFreeze freeze = layout.freeze_for_routing();
+  return run(layout, group_index, exec::resolve_threads(options_.threads),
+             layout::ObstacleIndex(layout.obstacles()));
 }
 
 std::vector<RouteResult> Router::route_all(layout::Layout& layout) const {
@@ -316,174 +297,21 @@ std::vector<RouteResult> Router::route_all(layout::Layout& layout) const {
   return results;
 }
 
-Router::TilePlan Router::plan_tiles(const layout::Layout& layout,
-                                    const std::vector<std::size_t>& todo) const {
-  TilePlan plan;
-  const std::size_t n = todo.size();
-  if (options_.tiles == 1 || n < 2) return plan;  // tiling off / trivial
-  const std::size_t target =
-      options_.tiles != 0 ? options_.tiles
-                          : std::clamp<std::size_t>(n / 4, std::size_t{1}, std::size_t{64});
-  if (target < 2) return plan;
-
-  std::vector<geom::Box> reach(n);
-  geom::Box board;
-  for (std::size_t k = 0; k < n; ++k) {
-    reach[k] = group_reach(layout, layout.groups()[todo[k]]);
-    board.expand(reach[k]);
-  }
-  if (board.empty()) return plan;
-
-  // Split along the long axis first so tiles stay roughly square — square
-  // tiles minimize boundary length, i.e. the number of straddling groups.
-  std::size_t tx = 1;
-  std::size_t ty = 1;
-  while (tx * ty < target) {
-    if (board.width() / static_cast<double>(tx) >=
-        board.height() / static_cast<double>(ty)) {
-      ++tx;
-    } else {
-      ++ty;
-    }
-  }
-  plan.tiles_x = tx;
-  plan.tiles_y = ty;
-  const double radius = interaction_radius(layout);
-  const double step_x = board.width() / static_cast<double>(tx);
-  const double step_y = board.height() / static_cast<double>(ty);
-  plan.tiles.resize(tx * ty);
-  for (std::size_t j = 0; j < ty; ++j) {
-    for (std::size_t i = 0; i < tx; ++i) {
-      TilePlan::Tile& tile = plan.tiles[j * tx + i];
-      tile.box = geom::Box{{board.lo.x + step_x * static_cast<double>(i),
-                            board.lo.y + step_y * static_cast<double>(j)},
-                           {board.lo.x + step_x * static_cast<double>(i + 1),
-                            board.lo.y + step_y * static_cast<double>(j + 1)}};
-      tile.coverage = tile.box.inflated(radius);
-    }
-  }
-
-  const auto cell_of = [](double v, double lo, double step, std::size_t count) {
-    if (step <= 0.0) return std::size_t{0};
-    const double f = std::floor((v - lo) / step);
-    if (f <= 0.0) return std::size_t{0};
-    return std::min(static_cast<std::size_t>(f), count - 1);
-  };
-  for (std::size_t k = 0; k < n; ++k) {
-    if (reach[k].empty()) {  // nothing known about it: route with full view
-      plan.straddlers.push_back(todo[k]);
-      continue;
-    }
-    const std::size_t cx0 = cell_of(reach[k].lo.x, board.lo.x, step_x, tx);
-    const std::size_t cx1 = cell_of(reach[k].hi.x, board.lo.x, step_x, tx);
-    const std::size_t cy0 = cell_of(reach[k].lo.y, board.lo.y, step_y, ty);
-    const std::size_t cy1 = cell_of(reach[k].hi.y, board.lo.y, step_y, ty);
-    if (cx0 == cx1 && cy0 == cy1) {
-      plan.tiles[cy0 * tx + cx0].groups.push_back(todo[k]);
-    } else {
-      plan.straddlers.push_back(todo[k]);
-    }
-  }
-
-  for (TilePlan::Tile& tile : plan.tiles) {
-    if (tile.groups.empty()) continue;
-    for (const layout::Obstacle& o : layout.obstacles()) {
-      if (o.shape.bbox().intersects(tile.coverage)) ++tile.obstacles;
-    }
-  }
-  return plan;
-}
-
-Router::TilePlan Router::tile_plan(const layout::Layout& layout) const {
-  std::vector<std::size_t> todo(layout.groups().size());
-  for (std::size_t g = 0; g < todo.size(); ++g) todo[g] = g;
-  return plan_tiles(layout, todo);
-}
-
 void Router::route_groups(layout::Layout& layout, const std::vector<std::size_t>& todo,
                           std::vector<RouteResult>& results, std::size_t threads) const {
-  const std::vector<layout::Obstacle>& obs = layout.obstacles();
-  std::vector<layout::ObstacleRef> full;
-  full.reserve(obs.size());
-  for (std::size_t oi = 0; oi < obs.size(); ++oi) {
-    full.push_back({&obs[oi], static_cast<std::uint32_t>(oi)});
-  }
-  const std::span<const layout::ObstacleRef> full_span(full);
-  const layout::ObstacleSelector full_sel{full_span, full_span, geom::Box{}};
-
-  const TilePlan plan = plan_tiles(layout, todo);
-  if (plan.tiles_x * plan.tiles_y <= 1) {
-    // Untiled: the pre-sharding driver, with the whole-board view.
-    if (threads <= 1 || todo.size() <= 1) {
-      for (const std::size_t g : todo) results[g] = run(layout, g, threads, &full_sel);
-    } else {
-      // One task per group; the nested member fan-out inside run() lands on
-      // the same pool (workers push to their own deques, idle workers
-      // steal), so a board of many small groups fills every worker instead
-      // of running its groups back to back.
-      exec::parallel_for_dynamic(pool(), todo.size(), threads, [&](std::size_t k) {
-        results[todo[k]] = run(layout, todo[k], threads, &full_sel);
-      });
-    }
+  const layout::Layout::RoutingFreeze freeze = layout.freeze_for_routing();
+  const layout::ObstacleIndex obstacles(layout.obstacles());
+  if (threads <= 1 || todo.size() <= 1) {
+    for (const std::size_t g : todo) results[g] = run(layout, g, threads, obstacles);
     return;
   }
-
-  // Tile-local obstacle subsets, in ascending original index so filtered
-  // obstacle violations carry identical indices/order to the full list.
-  struct Shard {
-    const TilePlan::Tile* tile = nullptr;
-    std::vector<layout::ObstacleRef> refs;
-    layout::ObstacleSelector sel;
-  };
-  std::vector<Shard> shards;
-  for (const TilePlan::Tile& tile : plan.tiles) {
-    if (tile.groups.empty()) continue;
-    Shard sh;
-    sh.tile = &tile;
-    sh.refs.reserve(tile.obstacles);
-    for (const layout::ObstacleRef& ref : full) {
-      if (ref.obstacle->shape.bbox().intersects(tile.coverage)) sh.refs.push_back(ref);
-    }
-    shards.push_back(std::move(sh));
-  }
-  // Selectors wired after the shard vector is final (spans into refs).
-  for (Shard& sh : shards) sh.sel = {sh.refs, full_span, sh.tile->coverage};
-
-  // Phase A: tiles are independent fan-outs; groups within one tile nest
-  // on the same pool (workers steal across tiles, so an uneven partition
-  // still fills every worker). Results are index-addressed, so this
-  // schedule cannot change output vs the serial loop.
-  if (threads <= 1) {
-    for (const Shard& sh : shards) {
-      for (const std::size_t g : sh.tile->groups) results[g] = run(layout, g, 1, &sh.sel);
-    }
-  } else {
-    exec::parallel_for_dynamic(pool(), shards.size(), threads, [&](std::size_t si) {
-      const Shard& sh = shards[si];
-      const std::vector<std::size_t>& groups = sh.tile->groups;
-      if (groups.size() <= 1) {
-        for (const std::size_t g : groups) results[g] = run(layout, g, threads, &sh.sel);
-        return;
-      }
-      exec::parallel_for_dynamic(pool(), groups.size(), threads, [&](std::size_t k) {
-        results[groups[k]] = run(layout, groups[k], threads, &sh.sel);
-      });
-    });
-  }
-
-  // Phase B: the cross-tile stitch — groups whose reach spans tiles see the
-  // whole board, exactly like the untiled driver.
-  if (threads <= 1 || plan.straddlers.size() <= 1) {
-    for (const std::size_t g : plan.straddlers) {
-      results[g] = run(layout, g, threads, &full_sel);
-    }
-  } else {
-    exec::parallel_for_dynamic(pool(), plan.straddlers.size(), threads,
-                               [&](std::size_t k) {
-                                 results[plan.straddlers[k]] =
-                                     run(layout, plan.straddlers[k], threads, &full_sel);
-                               });
-  }
+  // One task per group; the nested member fan-out inside run() lands on the
+  // same pool (workers push to their own deques, idle workers steal), so a
+  // board of many small groups fills every worker instead of running its
+  // groups back to back.
+  exec::parallel_for_dynamic(pool(), todo.size(), threads, [&](std::size_t k) {
+    results[todo[k]] = run(layout, todo[k], threads, obstacles);
+  });
 }
 
 exec::TaskPool& Router::pool() const {
@@ -496,28 +324,18 @@ exec::TaskPool& Router::pool() const {
 }
 
 RouteResult Router::run(layout::Layout& layout, std::size_t group_index,
-                        std::size_t threads,
-                        const layout::ObstacleSelector* obstacles) const {
+                        std::size_t threads, const layout::ObstacleIndex& obstacles) const {
   if (group_index >= layout.groups().size()) {
     throw std::out_of_range("Router: bad group index");
   }
-  // Board edits are rejected while any route is in flight: the stages below
-  // read obstacles, areas and group structure from the live layout, so an
-  // interleaved mutation would race. Trace-geometry write-backs are not
-  // gated — they are the route's own output channel.
-  const layout::Layout::RoutingFreeze freeze = layout.freeze_for_routing();
-  // Callers without a tile plan (route / route_batch) see the whole board.
-  std::vector<layout::ObstacleRef> own_refs;
-  layout::ObstacleSelector own_sel;
-  if (obstacles == nullptr) {
-    const std::vector<layout::Obstacle>& obs = layout.obstacles();
-    own_refs.reserve(obs.size());
-    for (std::size_t oi = 0; oi < obs.size(); ++oi) {
-      own_refs.push_back({&obs[oi], static_cast<std::uint32_t>(oi)});
-    }
-    own_sel = {own_refs, own_refs, geom::Box{}};
-    obstacles = &own_sel;
-  }
+  // Board edits are rejected while any route is in flight (every caller
+  // holds a routing freeze): the stages below read obstacles, areas and
+  // group structure from the live layout, so an interleaved mutation would
+  // race. Trace-geometry write-backs are not gated — they are the route's
+  // own output channel.
+  LMR_REQUIRE(layout.frozen(), "the caller holds a routing freeze");
+  LMR_REQUIRE(obstacles.size() == layout.obstacles().size(),
+              "the obstacle index covers this board");
   const layout::MatchGroup& group = layout.groups()[group_index];
   const auto t_run = core::now();
   const bool drc = options_.run_drc;
@@ -554,7 +372,7 @@ RouteResult Router::run(layout::Layout& layout, std::size_t group_index,
     if (w.area == nullptr) {
       throw std::invalid_argument("Router: member has no routable area");
     }
-    w.obstacles = obstacles;
+    w.obstacles = &obstacles;
     w.net_rules = rules_;
     if (w.member.kind == layout::MemberKind::SingleEnded) {
       w.trace = layout.trace(w.member.id);
@@ -615,12 +433,7 @@ RouteResult Router::run(layout::Layout& layout, std::size_t group_index,
     std::vector<layout::Violation>& out = net_violations[i];
     const auto check_one = [&](const layout::Trace& t, std::uint32_t slot) {
       append(out, checker.check_trace(t, w.net_rules));
-      // Everything obstacle clearance can reach from this path; outside the
-      // tile's coverage the selector falls back to the full board list, so
-      // the verdict bytes never depend on tiling.
-      const geom::Box need = t.path.bbox().inflated(
-          w.net_rules.effective_obs() + options_.drc.tolerance + 1e-9);
-      append(out, checker.check_obstacles(t, w.net_rules, w.obstacles->select(need)));
+      append(out, checker.check_obstacles(t, w.net_rules, *w.obstacles));
       append(out, checker.check_containment(t, *w.area));
       index.insert(slot, t);
     };
@@ -803,8 +616,7 @@ double Router::interaction_radius(const layout::Layout& layout) const {
   // extension (obstacles enter routing only through area holes and
   // proximity checks), its per-net oracle verdicts (gap / obstacle
   // clearances top out at effective_gap / effective_obs for the widest
-  // trace) or its cross-member sweep. Used both by the reroute delta proof
-  // and to size tile coverage.
+  // trace) or its cross-member sweep.
   double w_max = rules_.trace_width;
   for (const auto& [id, t] : layout.traces()) {
     (void)id;
@@ -963,7 +775,7 @@ BoardRoute Router::reroute(layout::Layout& layout, const BoardRoute& prior,
       }
     }
 
-    // Re-run only the affected groups, with route_all's executor and tiling
+    // Re-run only the affected groups, with route_all's executor
     // discipline; untouched groups keep their spliced prior results
     // verbatim.
     route_groups(layout, next.rerouted_groups, next.results,

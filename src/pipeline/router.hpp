@@ -12,7 +12,9 @@
 /// per-net diagnostics; `route_batch()` runs the same flow with independent
 /// nets extended on the persistent work-stealing executor (exec/task_pool);
 /// `route_all()` batches every group of a layout into one task fan-out so
-/// small groups never serialize behind each other.
+/// small groups never serialize behind each other. Each route call indexes
+/// the board's obstacles once (layout::ObstacleIndex) and shares the index
+/// read-only across every group and worker for the per-net oracle.
 ///
 /// Within one group the flow is a staged task graph, not two serial phases:
 /// each member is an extend → write-back → per-net DRC chain
@@ -44,6 +46,7 @@
 #include "layout/clearance_index.hpp"
 #include "layout/drc_checker.hpp"
 #include "layout/layout.hpp"
+#include "layout/obstacle_index.hpp"
 
 namespace lmr::pipeline {
 
@@ -141,13 +144,6 @@ struct RouterOptions {
   /// segment grid once an index holds ClearanceIndex::kGridAutoSlots slots.
   /// Both backends are bit-identical in output; this only moves time.
   layout::ClearanceBackend clearance_backend = layout::ClearanceBackend::Auto;
-  /// Spatial tile sharding for route_all / reroute: 0 = auto (tile count
-  /// derived from group count, split along the board's long axis), 1 = off,
-  /// >= 2 = force that many tiles. Tiles route as independent task fan-outs
-  /// with tile-local obstacle subsets; groups whose reach straddles a tile
-  /// boundary run in a final cross-tile pass against the full board. Output
-  /// is bit-identical for every tile count (see layout::ObstacleSelector).
-  std::size_t tiles = 0;
 };
 
 /// Per-net diagnostics: the matching report plus this net's oracle verdict.
@@ -284,47 +280,23 @@ class Router {
   [[nodiscard]] const drc::DesignRules& rules() const { return rules_; }
   [[nodiscard]] const RouterOptions& options() const { return options_; }
 
-  /// The spatial partition route_all/reroute would shard this board's
-  /// groups into, exposed for tests and diagnostics. A trivial plan
-  /// (tiles_x * tiles_y == 1) means tiling is off for this board — too few
-  /// groups, `RouterOptions::tiles == 1`, or a degenerate extent.
-  struct TilePlan {
-    struct Tile {
-      geom::Box box;       ///< partition cell
-      geom::Box coverage;  ///< box inflated by the interaction radius
-      /// Groups whose reach (member areas + current paths) lies wholly in
-      /// this tile; they route against the tile-local obstacle subset.
-      std::vector<std::size_t> groups;
-      /// Size of that subset (obstacles whose bbox intersects coverage).
-      std::size_t obstacles = 0;
-    };
-    std::size_t tiles_x = 1;
-    std::size_t tiles_y = 1;
-    std::vector<Tile> tiles;  ///< row-major, tiles_x * tiles_y (empty if trivial)
-    /// Groups spanning more than one tile: routed in the final cross-tile
-    /// pass against the full board obstacle list.
-    std::vector<std::size_t> straddlers;
-  };
-  [[nodiscard]] TilePlan tile_plan(const layout::Layout& layout) const;
-
   /// The executor this Router fans out on (see RouterOptions::pool).
   /// Instantiates the shared/private pool on first use.
   [[nodiscard]] exec::TaskPool& pool() const;
 
  private:
-  RouteResult run(layout::Layout& layout, std::size_t group_index,
-                  std::size_t threads,
-                  const layout::ObstacleSelector* obstacles = nullptr) const;
-  /// Shared tiled driver behind route_all/reroute: shard `todo` into tiles,
-  /// route tile-local fan-outs, then the cross-tile straddler pass. Writes
-  /// results[g] for every g in todo (index-addressed — scheduling cannot
-  /// change output).
+  /// One group's route. The caller holds a routing freeze for as long as
+  /// `obstacles` (an index over layout.obstacles()) is alive.
+  RouteResult run(layout::Layout& layout, std::size_t group_index, std::size_t threads,
+                  const layout::ObstacleIndex& obstacles) const;
+  /// The group loop behind route_all/reroute: freeze the board, index its
+  /// obstacles once, then one task per group in `todo`. Writes results[g]
+  /// for every g in todo (index-addressed — scheduling cannot change
+  /// output).
   void route_groups(layout::Layout& layout, const std::vector<std::size_t>& todo,
                     std::vector<RouteResult>& results, std::size_t threads) const;
-  [[nodiscard]] TilePlan plan_tiles(const layout::Layout& layout,
-                                    const std::vector<std::size_t>& todo) const;
   /// Worst-case distance at which anything on the board can still influence
-  /// a route (see affected_groups; also sizes tile coverage).
+  /// a route (see affected_groups).
   [[nodiscard]] double interaction_radius(const layout::Layout& layout) const;
 
   drc::DesignRules rules_;

@@ -202,42 +202,49 @@ void expect_identical_geometry(const layout::Layout& a, const layout::Layout& b)
   }
 }
 
-/// route_all on a seeded multi-group board: bit-identical to per-group
-/// route() whatever the thread count, results in group order.
+/// route_all on seeded multi-group boards: bit-identical to per-group
+/// route() whatever the thread count, results in group order. The mega
+/// smoke board (8 groups x 32 nets in a dense via field) runs its groups as
+/// concurrent tasks sharing one obstacle index.
 TEST(Router, RouteAllDeterministicAcrossThreadCounts) {
-  const auto fam = scenario::family("multi_group", true);
-  const scenario::Scenario reference_sc = scenario::materialize(fam.cases.at(0));
-  ASSERT_GT(reference_sc.layout.groups().size(), 1u);
+  for (const char* name : {"multi_group", "mega_board"}) {
+    SCOPED_TRACE(name);
+    const auto fam = scenario::family(name, true);
+    const scenario::Scenario reference_sc = scenario::materialize(fam.cases.at(0));
+    ASSERT_GT(reference_sc.layout.groups().size(), 1u);
 
-  auto reference = reference_sc.layout;
-  RouterOptions ref_opts = table1_options();
-  const Router ref_router(reference_sc.rules, ref_opts);
-  std::vector<RouteResult> ref_results;
-  for (std::size_t g = 0; g < reference.groups().size(); ++g) {
-    ref_results.push_back(ref_router.route(reference, g));
-  }
-
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
-    scenario::Scenario sc = scenario::materialize(fam.cases.at(0));
-    RouterOptions opts = table1_options();
-    opts.threads = threads;
-    const Router router(sc.rules, opts);
-    const std::vector<RouteResult> results = router.route_all(sc.layout);
-
-    ASSERT_EQ(results.size(), ref_results.size()) << threads;
-    for (std::size_t g = 0; g < results.size(); ++g) {
-      EXPECT_EQ(results[g].group.group_name, ref_results[g].group.group_name);
-      EXPECT_DOUBLE_EQ(results[g].group.max_error_pct, ref_results[g].group.max_error_pct);
-      EXPECT_DOUBLE_EQ(results[g].group.avg_error_pct, ref_results[g].group.avg_error_pct);
-      EXPECT_EQ(results[g].violation_count(), ref_results[g].violation_count());
-      ASSERT_EQ(results[g].nets.size(), ref_results[g].nets.size());
-      for (std::size_t i = 0; i < results[g].nets.size(); ++i) {
-        EXPECT_DOUBLE_EQ(results[g].nets[i].member.final_length,
-                         ref_results[g].nets[i].member.final_length);
-        EXPECT_EQ(results[g].nets[i].member.patterns, ref_results[g].nets[i].member.patterns);
-      }
+    auto reference = reference_sc.layout;
+    RouterOptions ref_opts = table1_options();
+    const Router ref_router(reference_sc.rules, ref_opts);
+    std::vector<RouteResult> ref_results;
+    for (std::size_t g = 0; g < reference.groups().size(); ++g) {
+      ref_results.push_back(ref_router.route(reference, g));
     }
-    expect_identical_geometry(reference, sc.layout);
+
+    for (const std::size_t threads :
+         {std::size_t{1}, std::size_t{2}, std::size_t{4}, std::size_t{8}}) {
+      scenario::Scenario sc = scenario::materialize(fam.cases.at(0));
+      RouterOptions opts = table1_options();
+      opts.threads = threads;
+      const Router router(sc.rules, opts);
+      const std::vector<RouteResult> results = router.route_all(sc.layout);
+
+      ASSERT_EQ(results.size(), ref_results.size()) << threads;
+      for (std::size_t g = 0; g < results.size(); ++g) {
+        EXPECT_EQ(results[g].group.group_name, ref_results[g].group.group_name);
+        EXPECT_DOUBLE_EQ(results[g].group.max_error_pct, ref_results[g].group.max_error_pct);
+        EXPECT_DOUBLE_EQ(results[g].group.avg_error_pct, ref_results[g].group.avg_error_pct);
+        EXPECT_EQ(results[g].violation_count(), ref_results[g].violation_count());
+        ASSERT_EQ(results[g].nets.size(), ref_results[g].nets.size());
+        for (std::size_t i = 0; i < results[g].nets.size(); ++i) {
+          EXPECT_DOUBLE_EQ(results[g].nets[i].member.final_length,
+                           ref_results[g].nets[i].member.final_length);
+          EXPECT_EQ(results[g].nets[i].member.patterns,
+                    ref_results[g].nets[i].member.patterns);
+        }
+      }
+      expect_identical_geometry(reference, sc.layout);
+    }
   }
 }
 

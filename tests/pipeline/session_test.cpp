@@ -52,7 +52,11 @@ TEST(Session, ApplyBeforeRouteThrows) {
 }
 
 TEST(Session, EditStormsMatchFreshRouteUnderEverySchedule) {
-  for (const scenario::EditStormCase& c : scenario::edit_storm_cases(true)) {
+  std::vector<scenario::EditStormCase> cases = scenario::edit_storm_cases(true);
+  // The mega smoke board: 8 groups x 32 nets in a dense via field.
+  cases.push_back(
+      {"mega_board/smoke", scenario::family("mega_board", true).cases.at(0), 3, 1201});
+  for (const scenario::EditStormCase& c : cases) {
     scenario::EditStorm storm = scenario::materialize_storm(c);
     for (const DrcSchedule schedule :
          {DrcSchedule::Barrier, DrcSchedule::Overlapped}) {

@@ -1,35 +1,33 @@
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstddef>
 #include <string>
-#include <vector>
 
 #include "layout/board_edit.hpp"
 #include "pipeline/router.hpp"
 #include "pipeline/session.hpp"
 #include "scenario/scenario_families.hpp"
-#include "scenario/scenario_generator.hpp"
 
-/// Tile-sharding contract of Router::route_all / route_board / reroute:
-/// splitting a board into spatial tiles is a scheduling decision only —
-/// routed geometry and violation sets are bit-identical for every tile
-/// count and thread count, straddling groups (reach spanning a tile
-/// boundary) are detected and routed with the full-board view, and the
-/// published TilePlan partitions the group set exactly.
+/// Mega-board contract of Router::route_board / reroute. The router once
+/// split a board into spatial tiles with tile-local obstacle subsets; one
+/// board-wide layout::ObstacleIndex, shared read-only by every group task,
+/// now does that job. The contract the tiles were held to stays: how the
+/// board is scheduled never changes the outcome. Routed geometry and
+/// violation sets are bit-identical for every thread count and DRC
+/// schedule, and an incremental reroute equals a fresh route.
 
 namespace lmr::pipeline {
 namespace {
 
 /// The bench suite's router configuration (Suite::router_options_for),
-/// with the tile/thread knobs under test on top.
-RouterOptions tile_options(const scenario::Scenario& sc, std::size_t threads,
-                           std::size_t tiles) {
+/// with the scheduling knobs under test on top.
+RouterOptions mega_options(const scenario::Scenario& sc, std::size_t threads,
+                           DrcSchedule schedule) {
   RouterOptions o;
   o.extender.l_disc = 0.5;
   o.extender.max_width_steps = 24;
   o.threads = threads;
-  o.tiles = tiles;
+  o.drc_schedule = schedule;
   if (sc.spec.extender_tolerance > 0.0) o.extender.tolerance = sc.spec.extender_tolerance;
   if (sc.pair_rule_set.size() > 1) o.pair_rule_set = sc.pair_rule_set;
   return o;
@@ -39,82 +37,20 @@ scenario::Scenario mega_smoke() {
   return scenario::materialize(scenario::family("mega_board", true).cases.at(0));
 }
 
-/// Same box the planner assigns tiles by (router.cpp group_reach): member
-/// routable-area bboxes plus current path bboxes.
-geom::Box reach_of(const layout::Layout& l, const layout::MatchGroup& g) {
-  geom::Box reach;
-  for (const layout::GroupMember& m : g.members) {
-    if (const layout::RoutableArea* area = l.routable_area(m.id)) {
-      reach.expand(area->bbox());
-    }
-    if (m.kind == layout::MemberKind::SingleEnded) {
-      reach.expand(l.trace(m.id).path.bbox());
-    } else {
-      reach.expand(l.pair(m.id).positive.path.bbox());
-      reach.expand(l.pair(m.id).negative.path.bbox());
-    }
-  }
-  return reach;
-}
-
-/// Tiles of `plan` the group's reach box touches.
-std::size_t tiles_spanned(const Router::TilePlan& plan, const geom::Box& reach) {
-  std::size_t n = 0;
-  for (const Router::TilePlan::Tile& t : plan.tiles) {
-    if (t.box.intersects(reach)) ++n;
-  }
-  return n;
-}
-
-TEST(TileRouting, PlanPartitionsEveryGroupExactlyOnce) {
-  // tiles=2 on the mega smoke board (48 wide x 56 tall) splits the long y
-  // axis, i.e. *between* the stacked group bands: most groups land in a
-  // tile, the band cut by the boundary straddles.
-  const scenario::Scenario sc = mega_smoke();
-  const Router router(sc.rules, tile_options(sc, 1, 2));
-  const Router::TilePlan plan = router.tile_plan(sc.layout);
-
-  ASSERT_EQ(plan.tiles_x * plan.tiles_y, std::size_t{2});
-  ASSERT_EQ(plan.tiles.size(), plan.tiles_x * plan.tiles_y);
-
-  std::vector<std::size_t> assigned;
-  bool any_tile_local = false;
-  for (const Router::TilePlan::Tile& tile : plan.tiles) {
-    EXPECT_TRUE(tile.coverage.contains(tile.box.lo));
-    EXPECT_TRUE(tile.coverage.contains(tile.box.hi));
-    if (!tile.groups.empty()) {
-      any_tile_local = true;
-      EXPECT_GT(tile.obstacles, 0u) << "dense board: every used tile sees obstacles";
-      EXPECT_LT(tile.obstacles, sc.layout.obstacles().size())
-          << "tile-local subset must actually prune";
-    }
-    assigned.insert(assigned.end(), tile.groups.begin(), tile.groups.end());
-  }
-  EXPECT_TRUE(any_tile_local) << "a band-stacked board must yield tile-local groups";
-  assigned.insert(assigned.end(), plan.straddlers.begin(), plan.straddlers.end());
-  std::sort(assigned.begin(), assigned.end());
-  std::vector<std::size_t> want(sc.layout.groups().size());
-  for (std::size_t g = 0; g < want.size(); ++g) want[g] = g;
-  EXPECT_EQ(assigned, want) << "tiles + straddlers must cover each group once";
-}
-
 TEST(TileRouting, MegaBoardRouteIsIdenticalAcrossTilesAndThreads) {
-  // Baseline: tiling off, serial. Every (threads, tiles) combination —
-  // including auto tiling — must reproduce it bit for bit.
+  // Baseline: serial, overlapped DRC. Every (threads, schedule) combination
+  // must reproduce it bit for bit.
   scenario::Scenario base = mega_smoke();
-  const Router baseline(base.rules, tile_options(base, 1, 1));
+  const Router baseline(base.rules, mega_options(base, 1, DrcSchedule::Overlapped));
   const BoardRoute want = baseline.route_board(base.layout);
+  ASSERT_GT(base.layout.groups().size(), 1u);
 
   for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
-    for (const std::size_t tiles : {std::size_t{0}, std::size_t{4}, std::size_t{9}}) {
-      SCOPED_TRACE("threads " + std::to_string(threads) + " tiles " + std::to_string(tiles));
+    for (const DrcSchedule schedule : {DrcSchedule::Overlapped, DrcSchedule::Barrier}) {
+      SCOPED_TRACE("threads " + std::to_string(threads) + " schedule " +
+                   (schedule == DrcSchedule::Barrier ? "barrier" : "overlapped"));
       scenario::Scenario sc = mega_smoke();
-      const Router router(sc.rules, tile_options(sc, threads, tiles));
-      if (tiles >= 2) {
-        // The forced plans must really shard (mega smoke has 8 groups).
-        const Router::TilePlan plan = router.tile_plan(sc.layout);
-        EXPECT_GE(plan.tiles_x * plan.tiles_y, tiles);
-      }
+      const Router router(sc.rules, mega_options(sc, threads, schedule));
       const BoardRoute got = router.route_board(sc.layout);
       std::string why;
       EXPECT_TRUE(routes_equivalent(base.layout, want, sc.layout, got, &why)) << why;
@@ -123,9 +59,9 @@ TEST(TileRouting, MegaBoardRouteIsIdenticalAcrossTilesAndThreads) {
 }
 
 TEST(TileRouting, RerouteUnderTilingMatchesFreshRoute) {
-  // Edit script: retarget one group, nudge one obstacle. The tiled reroute
-  // must splice to exactly the state a fresh untiled route of the edited
-  // board produces — and must not re-run the whole board to get there.
+  // Edit script: retarget one group, nudge one obstacle. The reroute must
+  // splice to exactly the state a fresh serial route of the edited board
+  // produces — and must not re-run the whole board to get there.
   const auto edits = [](layout::Layout& l) {
     layout::BoardEdit retarget;
     retarget.kind = layout::BoardEditKind::SetGroupTarget;
@@ -143,7 +79,7 @@ TEST(TileRouting, RerouteUnderTilingMatchesFreshRoute) {
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
     SCOPED_TRACE("threads " + std::to_string(threads));
     scenario::Scenario sc = mega_smoke();
-    const Router router(sc.rules, tile_options(sc, threads, 4));
+    const Router router(sc.rules, mega_options(sc, threads, DrcSchedule::Overlapped));
     const BoardRoute prior = router.route_board(sc.layout);
     edits(sc.layout);
     const BoardRoute incremental = router.reroute(sc.layout, prior);
@@ -153,80 +89,12 @@ TEST(TileRouting, RerouteUnderTilingMatchesFreshRoute) {
 
     scenario::Scenario fresh = mega_smoke();
     edits(fresh.layout);
-    const Router oracle(fresh.rules, tile_options(fresh, 1, 1));
+    const Router oracle(fresh.rules, mega_options(fresh, 1, DrcSchedule::Overlapped));
     const BoardRoute full = oracle.route_board(fresh.layout);
     std::string why;
     EXPECT_TRUE(routes_equivalent(sc.layout, incremental, fresh.layout, full, &why))
         << why;
   }
-}
-
-TEST(TileRouting, AxisAlignedGroupsStraddleATwoTileSplit) {
-  // multi_group smoke: two full-width bands on a corridor much wider than
-  // tall. Forcing 2 tiles splits the long (x) axis, cutting every group's
-  // x-run — each group's reach touches both tiles, so the planner must
-  // route everything in the cross-tile pass, identically to untiled.
-  scenario::Scenario sc =
-      scenario::materialize(scenario::family("multi_group", true).cases.at(0));
-  const Router router(sc.rules, tile_options(sc, 1, 2));
-  const Router::TilePlan plan = router.tile_plan(sc.layout);
-  ASSERT_EQ(plan.tiles_x * plan.tiles_y, std::size_t{2});
-  ASSERT_FALSE(plan.straddlers.empty());
-  for (const std::size_t g : plan.straddlers) {
-    EXPECT_EQ(tiles_spanned(plan, reach_of(sc.layout, sc.layout.groups()[g])), 2u)
-        << "group " << g;
-  }
-
-  scenario::Scenario ref =
-      scenario::materialize(scenario::family("multi_group", true).cases.at(0));
-  const BoardRoute want = Router(ref.rules, tile_options(ref, 1, 1)).route_board(ref.layout);
-  const BoardRoute got = router.route_board(sc.layout);
-  std::string why;
-  EXPECT_TRUE(routes_equivalent(ref.layout, want, sc.layout, got, &why)) << why;
-}
-
-TEST(TileRouting, RotatedGroupsStraddleAllFourTilesOfAQuadSplit) {
-  // A 30-degree board (same trick as the large_group family): every
-  // rotated band's bbox covers most of the board bbox, so under a 2x2
-  // split at least one group's reach touches all four tiles. Correctness
-  // must come from the cross-tile pass, not the tile assignment.
-  scenario::ScenarioSpec spec;
-  spec.name = "test/rotated_tiles";
-  spec.groups = 3;
-  spec.members_per_group = 3;
-  spec.corridor_length = 60.0;
-  spec.corridor_angle_deg = 30.0;
-  spec.extender_tolerance = 0.05;
-  spec.vias_per_band = 4;
-
-  const scenario::ScenarioGenerator gen(spec);
-  scenario::Scenario sc = gen.generate(7711);
-  RouterOptions opts;
-  opts.extender.l_disc = 0.5;
-  opts.extender.max_width_steps = 24;
-  opts.extender.tolerance = spec.extender_tolerance;
-  RouterOptions tiled = opts;
-  tiled.tiles = 4;
-
-  const Router router(sc.rules, tiled);
-  const Router::TilePlan plan = router.tile_plan(sc.layout);
-  ASSERT_GE(plan.tiles_x, std::size_t{2});
-  ASSERT_GE(plan.tiles_y, std::size_t{2});
-  ASSERT_FALSE(plan.straddlers.empty());
-  std::size_t max_span = 0;
-  for (const std::size_t g : plan.straddlers) {
-    max_span = std::max(
-        max_span, tiles_spanned(plan, reach_of(sc.layout, sc.layout.groups()[g])));
-  }
-  EXPECT_EQ(max_span, std::size_t{4}) << "want a 4-tile straddler";
-
-  scenario::Scenario ref = gen.generate(7711);
-  RouterOptions untiled = opts;
-  untiled.tiles = 1;
-  const BoardRoute want = Router(ref.rules, untiled).route_board(ref.layout);
-  const BoardRoute got = router.route_board(sc.layout);
-  std::string why;
-  EXPECT_TRUE(routes_equivalent(ref.layout, want, sc.layout, got, &why)) << why;
 }
 
 }  // namespace
