@@ -1,10 +1,10 @@
 /// \file micro_rangetree.cpp
-/// Microbenchmarks for the two clearance broadphases: the range tree of
-/// §IV-D (O(N log N) build, O(log^2 N + k) window queries — Alg. 2's
-/// P_check accelerator) and the uniform segment grid (O(1) insert/remove,
-/// O(cells + k) window visits) that replaces it on dense boards. The
-/// backend-captured ClearanceSweep trio is the head-to-head: the same board
-/// swept cold / warm / one-dirty under each forced backend.
+/// Microbenchmarks for the two spatial indexes: the range tree of §IV-D
+/// (O(N log N) build, O(log^2 N + k) window queries — Alg. 2's P_check
+/// accelerator inside HeightSolver) and the uniform segment grid (O(1)
+/// insert/remove, O(cells + k) window visits) behind
+/// layout::ClearanceIndex. The ClearanceSweep trio times that index's
+/// sweep cold / warm / one-dirty.
 
 #include <benchmark/benchmark.h>
 
@@ -110,19 +110,19 @@ BENCHMARK(BM_SegGridQuerySmallWindow)
     ->Range(256, 65536)
     ->Complexity();
 
-/// ClearanceIndex sweep cache: a board of parallel traces, swept repeatedly
-/// under a forced broadphase backend. Three regimes — cold (every sweep
-/// re-indexes everything, the pre-cache behaviour), warm (nothing changed;
-/// cached violations returned verbatim), and one-dirty (a single trace
-/// re-inserted per sweep; the tree rebuilds one overlay, the grid re-registers
-/// one slot's segments). The 16/256/4096 sizes bracket the Auto flip point
-/// (ClearanceIndex::kGridAutoSlots = 64).
+/// ClearanceIndex sweep cache: a board of parallel traces, swept repeatedly.
+/// Three regimes — cold (every sweep re-indexes everything, the pre-cache
+/// behaviour), warm (nothing changed; cached violations returned verbatim),
+/// and one-dirty (a single trace re-inserted per sweep; the grid
+/// re-registers that slot's segments). The fixture is the grid's worst
+/// case, not a routed board: each trace is one 400-long straight segment,
+/// so with cells sized to the 1.2 worst-case gap one segment spans ~330
+/// cells. Routed traces are meander legs of a few cells each.
 struct SweepFixture {
   lmr::drc::DesignRules rules;
   std::vector<lmr::layout::Trace> traces;
-  lmr::layout::ClearanceBackend backend;
 
-  SweepFixture(std::size_t n, lmr::layout::ClearanceBackend b) : backend(b) {
+  explicit SweepFixture(std::size_t n) {
     rules.gap = 1.0;
     traces.resize(n);
     for (std::size_t i = 0; i < n; ++i) {
@@ -135,7 +135,7 @@ struct SweepFixture {
   }
 
   [[nodiscard]] lmr::layout::ClearanceIndex make_index() const {
-    lmr::layout::ClearanceIndex index(rules, {}, backend);
+    lmr::layout::ClearanceIndex index(rules);
     for (std::size_t i = 0; i < traces.size(); ++i) {
       index.add_slot(traces[i].width, static_cast<std::uint32_t>(i));
     }
@@ -146,29 +146,20 @@ struct SweepFixture {
   }
 };
 
-void BM_ClearanceSweepCold(benchmark::State& state,
-                           lmr::layout::ClearanceBackend backend) {
-  const SweepFixture fx(static_cast<std::size_t>(state.range(0)), backend);
+void BM_ClearanceSweepCold(benchmark::State& state) {
+  const SweepFixture fx(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
-    // Re-inserting every slot dirties them all, forcing a full broadphase
-    // rebuild — equivalent to the pre-cache sweep() cost.
+    // A fresh index registers every slot, forcing a full grid build —
+    // equivalent to the pre-cache sweep() cost.
     auto index = fx.make_index();
     benchmark::DoNotOptimize(index.sweep().size());
   }
   state.SetComplexityN(state.range(0));
 }
-BENCHMARK_CAPTURE(BM_ClearanceSweepCold, tree, lmr::layout::ClearanceBackend::RangeTree)
-    ->RangeMultiplier(16)
-    ->Range(16, 4096)
-    ->Complexity();
-BENCHMARK_CAPTURE(BM_ClearanceSweepCold, grid, lmr::layout::ClearanceBackend::Grid)
-    ->RangeMultiplier(16)
-    ->Range(16, 4096)
-    ->Complexity();
+BENCHMARK(BM_ClearanceSweepCold)->RangeMultiplier(16)->Range(16, 4096)->Complexity();
 
-void BM_ClearanceSweepWarm(benchmark::State& state,
-                           lmr::layout::ClearanceBackend backend) {
-  const SweepFixture fx(static_cast<std::size_t>(state.range(0)), backend);
+void BM_ClearanceSweepWarm(benchmark::State& state) {
+  const SweepFixture fx(static_cast<std::size_t>(state.range(0)));
   auto index = fx.make_index();
   benchmark::DoNotOptimize(index.sweep().size());
   for (auto _ : state) {
@@ -176,18 +167,10 @@ void BM_ClearanceSweepWarm(benchmark::State& state,
   }
   state.SetComplexityN(state.range(0));
 }
-BENCHMARK_CAPTURE(BM_ClearanceSweepWarm, tree, lmr::layout::ClearanceBackend::RangeTree)
-    ->RangeMultiplier(16)
-    ->Range(16, 4096)
-    ->Complexity();
-BENCHMARK_CAPTURE(BM_ClearanceSweepWarm, grid, lmr::layout::ClearanceBackend::Grid)
-    ->RangeMultiplier(16)
-    ->Range(16, 4096)
-    ->Complexity();
+BENCHMARK(BM_ClearanceSweepWarm)->RangeMultiplier(16)->Range(16, 4096)->Complexity();
 
-void BM_ClearanceSweepOneDirty(benchmark::State& state,
-                               lmr::layout::ClearanceBackend backend) {
-  const SweepFixture fx(static_cast<std::size_t>(state.range(0)), backend);
+void BM_ClearanceSweepOneDirty(benchmark::State& state) {
+  const SweepFixture fx(static_cast<std::size_t>(state.range(0)));
   auto index = fx.make_index();
   benchmark::DoNotOptimize(index.sweep().size());
   for (auto _ : state) {
@@ -196,15 +179,7 @@ void BM_ClearanceSweepOneDirty(benchmark::State& state,
   }
   state.SetComplexityN(state.range(0));
 }
-BENCHMARK_CAPTURE(BM_ClearanceSweepOneDirty, tree,
-                  lmr::layout::ClearanceBackend::RangeTree)
-    ->RangeMultiplier(16)
-    ->Range(16, 4096)
-    ->Complexity();
-BENCHMARK_CAPTURE(BM_ClearanceSweepOneDirty, grid, lmr::layout::ClearanceBackend::Grid)
-    ->RangeMultiplier(16)
-    ->Range(16, 4096)
-    ->Complexity();
+BENCHMARK(BM_ClearanceSweepOneDirty)->RangeMultiplier(16)->Range(16, 4096)->Complexity();
 
 }  // namespace
 

@@ -62,8 +62,7 @@ Json strip_volatile(const Json& doc) {
     Json out = Json::object();
     for (const auto& [key, value] : doc.members()) {
       if (key == "run" || key == "scaling" || key == "drc_overlap" ||
-          key == "backend" || key == "edit_storm" || key == "service" ||
-          key == "fault_storm") {
+          key == "edit_storm" || key == "service" || key == "fault_storm") {
         continue;
       }
       if (key == "threads_used" || key == "pool_policy") continue;

@@ -4,7 +4,7 @@
 #include <cmath>
 
 #include "geom/distance.hpp"
-#include "layout/clearance_sweep.hpp"
+#include "layout/clearance_index.hpp"
 
 namespace lmr::layout {
 
@@ -208,22 +208,30 @@ std::vector<Violation> DrcChecker::check_layout(const Layout& layout,
   const auto append = [&out](std::vector<Violation> v) {
     out.insert(out.end(), v.begin(), v.end());
   };
-  for (const auto& [id, t] : layout.traces()) {
-    append(check_trace(t, rules));
-    append(check_obstacles(t, rules, layout.obstacles()));
-    if (const RoutableArea* area = layout.routable_area(id)) {
-      append(check_containment(t, *area));
-    }
-  }
-  // Pairwise clearance via the indexed sweep (each trace is its own net) —
-  // the one-shot ClearanceIndex wrapper.
-  std::vector<SweepTrace> sweep;
+  // Per-trace rules, then one clearance slot per trace. A single-ended trace
+  // is its own net; a pair's sub-traces share one and are checked the way
+  // Router::run checks a differential member: under the pair's width and
+  // against the pair's routable area.
+  ClearanceIndex index(rules, opts_);
+  const auto check_one = [&](const Trace& t, const drc::DesignRules& r,
+                             const RoutableArea* area, std::uint32_t net) {
+    append(check_trace(t, r));
+    append(check_obstacles(t, r, layout.obstacles()));
+    if (area != nullptr) append(check_containment(t, *area));
+    index.insert(index.add_slot(t.width, net), t);
+  };
   std::uint32_t net = 0;
   for (const auto& [id, t] : layout.traces()) {
-    (void)id;
-    sweep.push_back({&t, net++});
+    check_one(t, rules, layout.routable_area(id), net++);
   }
-  append(cross_clearance_sweep(sweep, rules, opts_));
+  for (const auto& [id, pair] : layout.pairs()) {
+    drc::DesignRules pair_rules = rules;
+    pair_rules.trace_width = pair.positive.width;
+    const RoutableArea* area = layout.routable_area(id);
+    check_one(pair.positive, pair_rules, area, net);
+    check_one(pair.negative, pair_rules, area, net++);
+  }
+  append(index.sweep());
   return out;
 }
 

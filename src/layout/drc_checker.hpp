@@ -101,8 +101,11 @@ class DrcChecker {
   [[nodiscard]] std::vector<Violation> check_trace_pair(const Trace& a, const Trace& b,
                                                         const drc::DesignRules& rules) const;
 
-  /// Full sweep over a layout: every trace against its rules/area/obstacles
-  /// and all trace pairs.
+  /// Full sweep over a layout: every trace and every differential pair's
+  /// two sub-traces against their rules/area/obstacles, then TraceGap over
+  /// all of them through a ClearanceIndex (a pair's sub-traces are one net,
+  /// never checked against each other). Traces come first, in id order,
+  /// then pairs, in id order.
   [[nodiscard]] std::vector<Violation> check_layout(const Layout& layout,
                                                     const drc::DesignRules& rules) const;
 

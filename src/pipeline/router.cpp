@@ -363,7 +363,7 @@ RouteResult Router::run(layout::Layout& layout, std::size_t group_index,
   // a later failure must be able to undo earlier write-backs.
   std::vector<MemberWork> work;
   work.reserve(group.members.size());
-  layout::ClearanceIndex index(rules_, options_.drc, options_.clearance_backend);
+  layout::ClearanceIndex index(rules_, options_.drc);
   for (std::size_t m = 0; m < group.members.size(); ++m) {
     MemberWork w;
     w.member = group.members[m];
@@ -399,7 +399,7 @@ RouteResult Router::run(layout::Layout& layout, std::size_t group_index,
   // snapshot; write-back moves the finished geometry into the layout
   // (members own distinct map entries, so concurrent write-backs are
   // race-free); per-net DRC then reads that member's own layout geometry
-  // and lands its sampled segments in the incremental clearance index.
+  // and lands its traces in the incremental clearance index.
   const auto extend_stage = [&](std::size_t i) {
     token.check();
     if (plan != nullptr) {

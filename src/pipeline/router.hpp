@@ -20,8 +20,8 @@
 /// each member is an extend → write-back → per-net DRC chain
 /// (exec::TaskGroup::run_chain), so one member's rule/obstacle/containment
 /// checks run while other members are still extending, and each member's
-/// sampled segments land in an incremental layout::ClearanceIndex as its
-/// geometry is written back. Only the cross-member clearance query pass
+/// traces land in an incremental layout::ClearanceIndex as its geometry
+/// is written back. Only the cross-member clearance query pass
 /// remains as a barrier after the join (see DrcSchedule). All paths produce
 /// identical results by construction: every net is extended on a private
 /// copy of its geometry (nets of one group own disjoint routable areas, so
@@ -139,11 +139,6 @@ struct RouterOptions {
   /// Prefix baked into this Router's fault site keys; the serving tier sets
   /// the board id so plans can target one board out of many.
   std::string fault_scope;
-  /// Broadphase behind every clearance sweep this Router runs (per-group
-  /// indices and, through Session, the board-wide index). `Auto` picks the
-  /// segment grid once an index holds ClearanceIndex::kGridAutoSlots slots.
-  /// Both backends are bit-identical in output; this only moves time.
-  layout::ClearanceBackend clearance_backend = layout::ClearanceBackend::Auto;
 };
 
 /// Per-net diagnostics: the matching report plus this net's oracle verdict.

@@ -163,17 +163,16 @@ Family mega_board(bool smoke) {
   f.description =
       "backplane-scale board: 1k+ nets across many groups in a dense via "
       "field (obstacle-index + grid-broadphase workload)";
-  // 16 groups x 64 members = 1024 nets (full). 64 members puts each
-  // per-group clearance index exactly at ClearanceIndex::kGridAutoSlots, so
-  // the mega rows exercise the grid backend end to end; 12 vias per band
-  // put ~12k obstacles behind the per-net obstacle index that every group
-  // task of a route shares. A modest target fraction keeps the per-member
-  // extension cheap — this family scales breadth, not meander
-  // depth. The band is taller than the default 5.0: with a low target
-  // fraction most members start straight, and in a 5-tall band the straight
-  // path's via keep-out (~1.9 each side) covers the whole placement window —
-  // 7.0 leaves free strips above and below so the via field actually gets
-  // dense.
+  // 16 groups x 64 members = 1024 nets (full): 64-slot per-group clearance
+  // indexes and a 1k-slot board-wide one in a Session put the segment grid
+  // under load; 12 vias per band put ~12k obstacles behind the per-net
+  // obstacle index that every group task of a route shares. A modest target
+  // fraction keeps the per-member extension cheap — this family scales
+  // breadth, not meander depth. The band is taller than the default 5.0:
+  // with a low target fraction most members start straight, and in a 5-tall
+  // band the straight path's via keep-out (~1.9 each side) covers the whole
+  // placement window — 7.0 leaves free strips above and below so the via
+  // field actually gets dense.
   ScenarioSpec s = base_spec(smoke ? "mega_board/256" : "mega_board/1k");
   s.groups = smoke ? 8 : 16;
   s.members_per_group = smoke ? 32 : 64;

@@ -165,7 +165,6 @@ TEST(HeightSolver, ForSegmentTransformsEnvironment) {
   geom::Polygon wall_poly{{geom::Point{0, 0} + n * 2.0, geom::Point{10, 10} + n * 2.0,
                            geom::Point{10, 10} + n * 5.0, geom::Point{0, 0} + n * 5.0}};
   env.add_static(wall_poly, EnvKind::AreaOutline);
-  env.build_index();
   const geom::Segment seg{{0, 0}, {10, 10}};
   const HeightSolver up = HeightSolver::for_segment(env, seg, +1, 10.0, kHalf);
   const double h = up.max_height(3.0, 9.0, 8.0);

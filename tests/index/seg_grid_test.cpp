@@ -6,7 +6,7 @@
 
 #include "index/seg_grid.hpp"
 
-/// The SegGrid contract the Grid clearance backend and the scenario
+/// The SegGrid contract layout::ClearanceIndex and the scenario
 /// generator's placement scan depend on: a window query visits a
 /// conservative *superset* of the entries intersecting the window (never a
 /// miss), each entry at most once per query, with removals forgotten and

@@ -1,40 +1,27 @@
-#include "layout/clearance_sweep.hpp"
-
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <tuple>
+#include <cstdint>
 #include <vector>
 
+#include "clearance_oracle.hpp"
+#include "layout/clearance_index.hpp"
 #include "scenario/scenario_generator.hpp"
+
+/// One-shot clearance sweeps: declare every trace, insert them all, sweep
+/// once — the shape DrcChecker::check_layout uses — checked against the
+/// brute-force oracle.
 
 namespace lmr::layout {
 namespace {
 
-using ViolationKey = std::tuple<TraceId, TraceId, std::size_t, std::size_t, double>;
+using oracle::same_violations;
 
-std::vector<ViolationKey> keys(const std::vector<Violation>& vs) {
-  std::vector<ViolationKey> out;
-  for (const Violation& v : vs) {
-    out.emplace_back(v.trace, v.other_trace, v.index_a, v.index_b, v.measured);
-  }
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
-/// The naive all-pairs loop the sweep replaces.
-std::vector<Violation> naive(const std::vector<SweepTrace>& traces,
-                             const drc::DesignRules& rules, const DrcCheckOptions& opts) {
-  const DrcChecker checker(opts);
-  std::vector<Violation> out;
-  for (std::size_t i = 0; i < traces.size(); ++i) {
-    for (std::size_t j = i + 1; j < traces.size(); ++j) {
-      if (traces[i].net == traces[j].net) continue;
-      const auto v = checker.check_trace_pair(*traces[i].trace, *traces[j].trace, rules);
-      out.insert(out.end(), v.begin(), v.end());
-    }
-  }
-  return out;
+std::vector<Violation> sweep_once(const std::vector<oracle::Slot>& slots,
+                                  const drc::DesignRules& rules) {
+  ClearanceIndex index(rules);
+  for (const oracle::Slot& s : slots) index.add_slot(s.trace->width, s.net);
+  for (std::uint32_t i = 0; i < slots.size(); ++i) index.insert(i, *slots[i].trace);
+  return index.sweep();
 }
 
 drc::DesignRules test_rules() {
@@ -59,15 +46,15 @@ TEST(ClearanceSweep, FindsKnownViolationLikeNaive) {
   c.width = 0.25;
   c.path = geom::Polyline{{{0, 10}, {20, 10}}};  // far away: clean
 
-  const std::vector<SweepTrace> traces{{&a, 0}, {&b, 1}, {&c, 2}};
+  const std::vector<oracle::Slot> slots{{&a, 0}, {&b, 1}, {&c, 2}};
   const auto rules = test_rules();
-  const auto swept = cross_clearance_sweep(traces, rules);
+  const auto swept = sweep_once(slots, rules);
   ASSERT_EQ(swept.size(), 1u);
   EXPECT_EQ(swept[0].kind, ViolationKind::TraceGap);
   EXPECT_EQ(swept[0].trace, 1u);
   EXPECT_EQ(swept[0].other_trace, 2u);
   EXPECT_NEAR(swept[0].measured, 0.9, 1e-12);
-  EXPECT_EQ(keys(swept), keys(naive(traces, rules, {})));
+  EXPECT_TRUE(same_violations(swept, oracle::sweep(slots, rules)));
 }
 
 TEST(ClearanceSweep, SameNetPairsAreExempt) {
@@ -79,15 +66,15 @@ TEST(ClearanceSweep, SameNetPairsAreExempt) {
   n.width = 0.25;
   n.path = geom::Polyline{{{0, -0.4}, {20, -0.4}}};
   // Same net (a differential member): no check despite the 0.8 spacing.
-  EXPECT_TRUE(cross_clearance_sweep({{&p, 0}, {&n, 0}}, test_rules()).empty());
+  EXPECT_TRUE(sweep_once({{&p, 0}, {&n, 0}}, test_rules()).empty());
   // Different nets: violation.
-  EXPECT_FALSE(cross_clearance_sweep({{&p, 0}, {&n, 1}}, test_rules()).empty());
+  EXPECT_FALSE(sweep_once({{&p, 0}, {&n, 1}}, test_rules()).empty());
 }
 
 TEST(ClearanceSweep, EquivalentToNaiveOnGeneratedBoards) {
   // Dense generated boards with deliberately squeezed corridors so real
-  // cross violations exist; the sweep must reproduce the naive loop's
-  // violation set exactly on every seed.
+  // cross violations exist; the sweep must reproduce the oracle's
+  // violations, in its order, on every seed.
   scenario::ScenarioSpec spec;
   spec.name = "test/sweep";
   spec.groups = 2;
@@ -99,22 +86,21 @@ TEST(ClearanceSweep, EquivalentToNaiveOnGeneratedBoards) {
 
   for (const std::uint64_t seed : {1u, 2u, 3u}) {
     const scenario::Scenario sc = scenario::ScenarioGenerator(spec).generate(seed);
-    std::vector<SweepTrace> traces;
+    std::vector<oracle::Slot> slots;
     std::uint32_t net = 0;
     for (const auto& [id, t] : sc.layout.traces()) {
       (void)id;
-      traces.push_back({&t, net++});
+      slots.push_back({&t, net++});
     }
-    const auto swept = cross_clearance_sweep(traces, sc.rules);
-    const auto brute = naive(traces, sc.rules, {});
-    EXPECT_EQ(keys(swept), keys(brute)) << "seed " << seed;
+    EXPECT_TRUE(same_violations(sweep_once(slots, sc.rules), oracle::sweep(slots, sc.rules)))
+        << "seed " << seed;
   }
 }
 
 TEST(ClearanceSweep, CrossBandViolationsDetected) {
   // Traces meandering to their band edges in adjacent bands: classic
-  // cross-member squeeze. Keys must agree with the naive loop including
-  // measured distances.
+  // cross-member squeeze. Must agree with the oracle including measured
+  // distances.
   Trace a, b;
   a.id = 10;
   a.width = 0.2;
@@ -122,20 +108,19 @@ TEST(ClearanceSweep, CrossBandViolationsDetected) {
   b.id = 11;
   b.width = 0.2;
   b.path = geom::Polyline{{{0, 3}, {8, 3}, {8, 2.6}, {14, 2.6}, {14, 3}, {20, 3}}};
-  const std::vector<SweepTrace> traces{{&a, 0}, {&b, 1}};
+  const std::vector<oracle::Slot> slots{{&a, 0}, {&b, 1}};
   const auto rules = test_rules();
-  const auto swept = cross_clearance_sweep(traces, rules);
-  const auto brute = naive(traces, rules, {});
+  const auto swept = sweep_once(slots, rules);
   EXPECT_FALSE(swept.empty());
-  EXPECT_EQ(keys(swept), keys(brute));
+  EXPECT_TRUE(same_violations(swept, oracle::sweep(slots, rules)));
 }
 
 TEST(ClearanceSweep, EmptyAndSingleInputs) {
-  EXPECT_TRUE(cross_clearance_sweep({}, test_rules()).empty());
+  EXPECT_TRUE(sweep_once({}, test_rules()).empty());
   Trace a;
   a.id = 1;
   a.path = geom::Polyline{{{0, 0}, {10, 0}}};
-  EXPECT_TRUE(cross_clearance_sweep({{&a, 0}}, test_rules()).empty());
+  EXPECT_TRUE(sweep_once({{&a, 0}}, test_rules()).empty());
 }
 
 }  // namespace

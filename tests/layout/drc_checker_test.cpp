@@ -174,6 +174,45 @@ TEST(DrcChecker, LayoutSweepAggregates) {
   EXPECT_TRUE(obs_v);
 }
 
+TEST(DrcChecker, LayoutSweepChecksDifferentialPairs) {
+  // A trace at y=0 and a pair whose N sub-trace runs 0.3 above it: N
+  // violates the 1.25 effective gap against the trace. P runs 1.0 above N —
+  // also inside the gap, but P and N are one net, so no TraceGap between
+  // them. The pair's routable area stops short of P, so P's containment
+  // check (against the pair's area) fires too.
+  drc::DesignRules r;
+  r.gap = 1.0;
+  r.trace_width = 0.25;
+  Layout l;
+  Trace t = make_trace({{0, 0}, {10, 0}}, 1);
+  t.width = 0.25;
+  l.add_trace(t);
+  DiffPair pair;
+  pair.id = 2;
+  pair.pitch = 1.0;
+  pair.negative = make_trace({{0, 0.3}, {10, 0.3}}, 3);
+  pair.positive = make_trace({{0, 1.3}, {10, 1.3}}, 4);
+  pair.negative.width = pair.positive.width = 0.25;
+  l.add_pair(pair);
+  RoutableArea area;
+  area.outline = geom::Polygon::rect({{-1, 0.1}, {11, 1.0}});
+  (void)l.set_routable_area(2, area);
+
+  const auto v = DrcChecker{}.check_layout(l, r);
+  std::vector<Violation> gaps;
+  std::vector<TraceId> uncontained;
+  for (const Violation& viol : v) {
+    if (viol.kind == ViolationKind::TraceGap) gaps.push_back(viol);
+    if (viol.kind == ViolationKind::AreaContainment) uncontained.push_back(viol.trace);
+  }
+  ASSERT_EQ(gaps.size(), 1u);
+  EXPECT_EQ(gaps[0].trace, 1u);
+  EXPECT_EQ(gaps[0].other_trace, 3u);
+  EXPECT_NEAR(gaps[0].measured, 0.3, 1e-12);
+  ASSERT_FALSE(uncontained.empty());
+  for (const TraceId id : uncontained) EXPECT_EQ(id, 4u);
+}
+
 TEST(ViolationKindNames, AllDistinct) {
   EXPECT_STREQ(to_string(ViolationKind::SelfGap), "SelfGap");
   EXPECT_STREQ(to_string(ViolationKind::TraceGap), "TraceGap");

@@ -3,7 +3,7 @@
 
 The single script-side twin of ``lmr::bench::strip_volatile``
 (src/bench_harness/report.cpp): removes the ``run`` object, the
-``scaling``, ``drc_overlap``, ``backend``, ``edit_storm`` and ``service``
+``scaling``, ``drc_overlap``, ``edit_storm``, ``service`` and ``fault_storm``
 sections, the parallelism context (``threads_used``, ``pool_policy``) and
 every ``*_s``-suffixed key. Two
 runs with the same seeds — at any thread count or DRC schedule — must
@@ -23,7 +23,6 @@ VOLATILE_KEYS = {
     "run",
     "scaling",
     "drc_overlap",
-    "backend",
     "edit_storm",
     "service",
     "fault_storm",
