@@ -232,39 +232,6 @@ std::vector<ScalingCurve> Suite::run_scaling(const SuiteOptions& base,
   return curves;
 }
 
-std::vector<OverlapComparison> Suite::run_drc_overlap(
-    const SuiteOptions& base, const std::vector<std::string>& families) {
-  // Min of several repeats per schedule, with each schedule's Suite (and
-  // therefore its pool) reused across its repeats: a single cold sample
-  // would charge thread spin-up and allocator warm-up to whichever schedule
-  // runs first and report that bias as a "win".
-  constexpr int kRepeats = 3;
-  std::vector<OverlapComparison> comparisons;
-  for (const std::string& fam : families) {
-    OverlapComparison cmp;
-    cmp.family = fam;
-    for (const pipeline::DrcSchedule schedule :
-         {pipeline::DrcSchedule::Barrier, pipeline::DrcSchedule::Overlapped}) {
-      SuiteOptions opts = base;
-      opts.families = {fam};
-      opts.router.drc_schedule = schedule;
-      const Suite suite(opts);
-      double best = 0.0;
-      for (int rep = 0; rep < kRepeats; ++rep) {
-        const SuiteResult r = suite.run();
-        best = rep == 0 ? r.runtime_s : std::min(best, r.runtime_s);
-      }
-      (schedule == pipeline::DrcSchedule::Barrier ? cmp.barrier_runtime_s
-                                                  : cmp.overlapped_runtime_s) = best;
-    }
-    cmp.speedup = cmp.overlapped_runtime_s > 0.0
-                      ? cmp.barrier_runtime_s / cmp.overlapped_runtime_s
-                      : 0.0;
-    comparisons.push_back(std::move(cmp));
-  }
-  return comparisons;
-}
-
 std::vector<EditStormOutcome> Suite::run_edit_storm() const {
   std::vector<EditStormOutcome> storms;
   for (const scenario::EditStormCase& c : scenario::edit_storm_cases(opts_.smoke)) {
@@ -724,19 +691,6 @@ Json Suite::fault_storm_json(const std::vector<FaultStormOutcome>& storms) {
     }
     js["points"] = std::move(jpoints);
     out.push_back(std::move(js));
-  }
-  return out;
-}
-
-Json Suite::drc_overlap_json(const std::vector<OverlapComparison>& comparisons) {
-  Json out = Json::array();
-  for (const OverlapComparison& c : comparisons) {
-    Json jc = Json::object();
-    jc["family"] = c.family;
-    jc["barrier_runtime_s"] = c.barrier_runtime_s;
-    jc["overlapped_runtime_s"] = c.overlapped_runtime_s;
-    jc["speedup"] = c.speedup;
-    out.push_back(std::move(jc));
   }
   return out;
 }

@@ -167,24 +167,6 @@ void TaskGroup::run(std::function<void()> fn) {
   pool_.submit(new TaskPool::Task{std::move(fn), this});
 }
 
-void TaskGroup::run_chain(std::vector<std::function<void()>> stages) {
-  if (stages.empty()) return;
-  run_stage(std::make_shared<std::vector<std::function<void()>>>(std::move(stages)), 0);
-}
-
-void TaskGroup::run_stage(std::shared_ptr<std::vector<std::function<void()>>> stages,
-                          std::size_t k) {
-  // Each stage is one group task that, on normal return, submits its
-  // successor. The submission happens inside the task body — before
-  // finish_one drops the pending count — so the group can never observe a
-  // momentarily-empty chain and release a waiter early. A throw skips the
-  // submission, which is exactly the short-circuit contract.
-  run([this, stages, k] {
-    (*stages)[k]();
-    if (k + 1 < stages->size()) run_stage(stages, k + 1);
-  });
-}
-
 void TaskGroup::drain() {
   const bool is_worker = pool_.on_worker_thread();
   int idle_spins = 0;

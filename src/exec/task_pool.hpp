@@ -134,18 +134,6 @@ class TaskGroup {
   /// pool's injection queue.
   void run(std::function<void()> fn);
 
-  /// Chained / continuation submission: run `stages` strictly in order as
-  /// successive tasks of this group — stage k+1 is submitted only after
-  /// stage k returned normally, so a stage may freely read everything its
-  /// predecessors wrote. A throwing stage is captured like any other task
-  /// failure and short-circuits the chain: the not-yet-submitted tail never
-  /// runs (other chains and tasks of the group still drain before `wait()`
-  /// rethrows). Submitted from a worker, each continuation lands on that
-  /// worker's own deque (LIFO: it usually runs next, cache-warm) while
-  /// staying stealable by idle workers — the building block of the router's
-  /// staged extend → write-back → per-net-DRC pipeline.
-  void run_chain(std::vector<std::function<void()>> stages);
-
   /// Block until every task has finished, then rethrow the first captured
   /// exception if any. On a pool worker "block" means *help*: the waiter
   /// executes pool tasks (its own fan-out first, then stolen work) instead
@@ -157,8 +145,6 @@ class TaskGroup {
  private:
   friend class TaskPool;
 
-  void run_stage(std::shared_ptr<std::vector<std::function<void()>>> stages,
-                 std::size_t k);
   void drain();
   void finish_one(std::exception_ptr error);
 

@@ -4,9 +4,9 @@
 ///
 /// A one-shot clearance sweep would index every trace and run the window
 /// queries in a single tail call — pure added latency after the last group
-/// member finishes extending. The staged routing pipeline wants the
-/// per-trace half of that work to happen *while* other members are still
-/// extending, so `ClearanceIndex` splits the sweep into three phases:
+/// member finishes extending. The router wants the per-trace half of that
+/// work to happen *while* other members are still extending, so
+/// `ClearanceIndex` splits the sweep into three phases:
 ///
 ///  1. `add_slot()` — declare every participating trace up front (serial,
 ///     cheap). This fixes the deterministic slot order that violation
@@ -14,7 +14,7 @@
 ///  2. `insert()`  — attach one trace to its slot: O(1), it only records
 ///     the trace and bumps the slot's epoch. Each call writes only that
 ///     slot's pre-allocated storage, so inserts for distinct slots are safe
-///     from concurrent pipeline chains: a member indexes its own geometry
+///     from concurrent member tasks: a member indexes its own geometry
 ///     the moment it lands, in any order. `remove()` empties a slot again,
 ///     and a removed or replaced slot can be re-`insert`ed — the
 ///     edit-session path re-indexes only the traces an edit touched.

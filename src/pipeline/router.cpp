@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <array>
-#include <atomic>
 #include <cmath>
-#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -40,8 +38,8 @@ struct MemberWork {
   layout::DiffPair pair;  ///< differential members
   /// Rollback snapshots, filled by write-back *moving* the layout's
   /// original paths out as the extended ones move in (no copy on the
-  /// success path). The pipeline writes members back as each one finishes,
-  /// so a chain that throws later must be able to restore the layout.
+  /// success path). Members write back as each one finishes, so a throw
+  /// later in the group must be able to restore the layout.
   geom::Polyline orig_primary;
   geom::Polyline orig_secondary;  ///< negative sub-trace of a pair
   bool written = false;           ///< write-back ran; rollback must undo it
@@ -356,10 +354,10 @@ RouteResult Router::run(layout::Layout& layout, std::size_t group_index,
     opts = &*patched;
   }
 
-  // Stage 0 (serial): validate and snapshot every member before any stage
+  // Set-up (serial): validate and snapshot every member before any member
   // runs, declare every clearance-index slot (member order fixes the
   // deterministic violation order), and keep a rollback copy of each
-  // original path — the pipeline writes geometry back as members finish, so
+  // original path — members write their geometry back as they finish, so
   // a later failure must be able to undo earlier write-backs.
   std::vector<MemberWork> work;
   work.reserve(group.members.size());
@@ -388,28 +386,27 @@ RouteResult Router::run(layout::Layout& layout, std::size_t group_index,
   const std::size_t n = work.size();
 
   // Per-member result slots, all index-addressed so the outcome — including
-  // violation order — is independent of how chains interleave.
+  // violation order — is independent of the order members run in.
   const layout::DrcChecker checker(options_.drc);
   std::vector<MemberReport> reports(n);
   std::vector<std::vector<layout::Violation>> net_violations(n);
   std::vector<double> drc_stage_s(n, 0.0);
   std::vector<double> extend_done_s(n, 0.0);
 
-  // The three stages of one member's chain. Extension runs on the private
-  // snapshot; write-back moves the finished geometry into the layout
-  // (members own distinct map entries, so concurrent write-backs are
-  // race-free); per-net DRC then reads that member's own layout geometry
-  // and lands its traces in the incremental clearance index.
-  const auto extend_stage = [&](std::size_t i) {
+  // One member, start to finish: extend on its private snapshot, write the
+  // finished geometry back into the layout (members own distinct map
+  // entries, so concurrent write-backs are race-free), then run the per-net
+  // oracle on that member's own layout geometry and land its traces in the
+  // incremental clearance index, while other members may still be extending.
+  const auto route_one = [&](std::size_t i) {
     token.check();
     if (plan != nullptr) {
       plan->at_site(fault::extend_site(options_.fault_scope, group_index, i));
     }
-    reports[i] = route_member(rules_, *opts, work[i]);
-    extend_done_s[i] = seconds_since(t_run);
-  };
-  const auto writeback_stage = [&](std::size_t i) {
     MemberWork& w = work[i];
+    reports[i] = route_member(rules_, *opts, w);
+    extend_done_s[i] = seconds_since(t_run);
+
     // Move the layout's original path out (the rollback snapshot — free on
     // the success path) as the extended one moves in.
     if (w.member.kind == layout::MemberKind::SingleEnded) {
@@ -424,12 +421,10 @@ RouteResult Router::run(layout::Layout& layout, std::size_t group_index,
       pair.negative.path = std::move(w.pair.negative.path);
     }
     w.written = true;
-  };
-  const auto drc_stage = [&](std::size_t i) {
+
     if (!drc) return;
     token.check();
     const auto t0 = core::now();
-    const MemberWork& w = work[i];
     std::vector<layout::Violation>& out = net_violations[i];
     const auto check_one = [&](const layout::Trace& t, std::uint32_t slot) {
       append(out, checker.check_trace(t, w.net_rules));
@@ -447,51 +442,11 @@ RouteResult Router::run(layout::Layout& layout, std::size_t group_index,
     drc_stage_s[i] = seconds_since(t0);
   };
 
-  const std::size_t width =
-      std::min(std::max<std::size_t>(threads, 1), std::max<std::size_t>(n, 1));
-  const bool overlapped = options_.drc_schedule == DrcSchedule::Overlapped;
   try {
-    if (width <= 1 || n <= 1) {
-      // Serial: chains inline in member order (or phase-by-phase for the
-      // barrier comparator). Stages of different members are independent,
-      // so both orders produce identical results; only timings move.
-      if (overlapped) {
-        for (std::size_t i = 0; i < n; ++i) {
-          extend_stage(i);
-          writeback_stage(i);
-          drc_stage(i);
-        }
-      } else {
-        for (std::size_t i = 0; i < n; ++i) extend_stage(i);
-        for (std::size_t i = 0; i < n; ++i) writeback_stage(i);
-        for (std::size_t i = 0; i < n; ++i) drc_stage(i);
-      }
-    } else if (!overlapped) {
-      // Legacy two-phase flow: every member extends before the first oracle
-      // check runs; the whole DRC cost is tail latency after the join.
-      exec::parallel_for_dynamic(pool(), n, width, extend_stage);
-      for (std::size_t i = 0; i < n; ++i) writeback_stage(i);
-      for (std::size_t i = 0; i < n; ++i) drc_stage(i);
+    if (threads <= 1 || n <= 1) {
+      for (std::size_t i = 0; i < n; ++i) route_one(i);
     } else {
-      // The staged graph: at most `width` member chains in flight, so the
-      // claimer cap of the two-phase fan-out carries over. Each chain's
-      // last stage claims and launches the next unrouted member; a chain
-      // that throws is short-circuited by run_chain, so the failed member
-      // never queues its DRC stage.
-      exec::TaskGroup task_group(pool());
-      std::atomic<std::size_t> next{width};
-      std::function<void(std::size_t)> launch = [&](std::size_t i) {
-        task_group.run_chain({[&, i] { extend_stage(i); },
-                              [&, i] { writeback_stage(i); },
-                              [&, i] {
-                                drc_stage(i);
-                                const std::size_t j =
-                                    next.fetch_add(1, std::memory_order_relaxed);
-                                if (j < n) launch(j);
-                              }});
-      };
-      for (std::size_t c = 0; c < width; ++c) launch(c);
-      task_group.wait();
+      exec::parallel_for_dynamic(pool(), n, threads, route_one);
     }
     // Sweep-site fault + final deadline check live INSIDE the try: the
     // cross-member sweep below runs after the rollback block, so a fault
@@ -502,11 +457,11 @@ RouteResult Router::run(layout::Layout& layout, std::size_t group_index,
       plan->at_site(fault::sweep_site(options_.fault_scope, group_index));
     }
   } catch (...) {
-    // A failed chain aborts the whole group, but sibling chains may already
-    // have written back (and the group drains fully before the rethrow, so
-    // nothing is still running). Restore the original geometry of every
-    // written-back member: the caller keeps the strong guarantee the
-    // two-phase code had — a throw leaves the layout untouched.
+    // A failed member aborts the whole group, but its siblings may already
+    // have written back (parallel_for_dynamic drains every claimer before
+    // the rethrow, so nothing is still running). Restore the original
+    // geometry of every written-back member: a throw leaves the layout
+    // untouched.
     for (MemberWork& w : work) {
       if (!w.written) continue;
       if (w.member.kind == layout::MemberKind::SingleEnded) {
@@ -539,9 +494,8 @@ RouteResult Router::run(layout::Layout& layout, std::size_t group_index,
       result.domain_bbox.expand(pair.negative.path.bbox());
     }
   }
-  // Matching-phase wall time — when the last member finished extending (the
-  // pre-pipeline meaning of this field; overlapped per-net checks are
-  // reported separately below).
+  // Matching-phase wall time — when the last member finished extending
+  // (per-net checks are reported separately below).
   for (std::size_t i = 0; i < n; ++i) {
     result.group.runtime_s = std::max(result.group.runtime_s, extend_done_s[i]);
     result.extend_runtime_s += result.group.members[i].runtime_s;
@@ -566,8 +520,8 @@ RouteResult Router::run(layout::Layout& layout, std::size_t group_index,
       errors(true);
   std::tie(result.group.max_error_pct, result.group.avg_error_pct) = errors(false);
 
-  // Collect the per-net verdicts the chains produced, then run the only
-  // remaining barrier: the cross-member clearance query pass over the
+  // Collect the per-net verdicts the members produced, then run the only
+  // barrier: the cross-member clearance query pass over the
   // incrementally-built index.
   if (drc) {
     for (std::size_t i = 0; i < n; ++i) {

@@ -16,18 +16,18 @@
 /// the board's obstacles once (layout::ObstacleIndex) and shares the index
 /// read-only across every group and worker for the per-net oracle.
 ///
-/// Within one group the flow is a staged task graph, not two serial phases:
-/// each member is an extend → write-back → per-net DRC chain
-/// (exec::TaskGroup::run_chain), so one member's rule/obstacle/containment
-/// checks run while other members are still extending, and each member's
-/// traces land in an incremental layout::ClearanceIndex as its geometry
-/// is written back. Only the cross-member clearance query pass
-/// remains as a barrier after the join (see DrcSchedule). All paths produce
-/// identical results by construction: every net is extended on a private
-/// copy of its geometry (nets of one group own disjoint routable areas, so
-/// they are independent), and every report, violation list and index slot
-/// is written at its member-order index, so the outcome — including
-/// violation order — is independent of scheduling.
+/// Within one group each member runs as one closure — extend → write-back →
+/// per-net DRC — in member order when serial and under
+/// exec::parallel_for_dynamic otherwise, so one member's
+/// rule/obstacle/containment checks run while other members are still
+/// extending, and each member's traces land in an incremental
+/// layout::ClearanceIndex as its geometry is written back. Only the
+/// cross-member clearance query pass is a barrier after the join. Every
+/// thread count produces identical results by construction: every net is
+/// extended on a private copy of its geometry (nets of one group own
+/// disjoint routable areas, so they are independent), and every report,
+/// violation list and index slot is written at its member-order index, so
+/// the outcome — including violation order — is independent of scheduling.
 
 #include <cstddef>
 #include <cstdint>
@@ -54,21 +54,6 @@ namespace lmr::pipeline {
 enum class Engine {
   DpMsdtw,    ///< the paper's flow: segment DP + MSDTW medians (default)
   AidtStyle,  ///< greedy fixed-geometry baseline (the Table I comparator)
-};
-
-/// Scheduling of the DRC oracle relative to member extension.
-enum class DrcSchedule {
-  /// Staged pipeline (default): every member runs an
-  /// extend → write-back → per-net DRC chain on the executor, so member B
-  /// extends while member A's rule/obstacle/containment checks run and its
-  /// segments land in the incremental clearance index. Only the cross-member
-  /// clearance query pass remains as a barrier after the join.
-  Overlapped,
-  /// Legacy two-phase comparator: every member finishes extending before the
-  /// first oracle check runs; the whole DRC sweep is tail latency. Kept so
-  /// tests and `bench_micro_drc_overlap` can diff the two paths — they must
-  /// produce identical violation sets in identical order.
-  Barrier,
 };
 
 /// Per-member outcome.
@@ -106,9 +91,6 @@ struct RouterOptions {
   Engine engine = Engine::DpMsdtw; ///< baseline selection
   bool run_drc = true;             ///< final oracle sweep after matching
   layout::DrcCheckOptions drc;     ///< oracle tolerances
-  /// Overlap per-net DRC with extension (default) or run the legacy
-  /// end-of-run sweep. Result-identical by construction; only timings move.
-  DrcSchedule drc_schedule = DrcSchedule::Overlapped;
   /// Parallelism cap for route_batch / route_all (claimer count per
   /// fan-out); 0 = hardware concurrency (exec::resolve_threads).
   std::size_t threads = 0;
@@ -162,15 +144,14 @@ struct RouteResult {
   /// exceeds wall time when members run concurrently).
   double extend_runtime_s = 0.0;
   /// Aggregate per-net oracle work time (rules / obstacles / containment +
-  /// clearance-index inserts). Under `DrcSchedule::Overlapped` this runs
-  /// concurrently with other members' extension instead of after the join.
+  /// clearance-index inserts). With more than one thread it runs
+  /// concurrently with other members' extension, not after the join.
   double drc_overlap_runtime_s = 0.0;
   /// Wall time of the final cross-member clearance query pass — the only
-  /// part of the oracle that is still a barrier.
+  /// part of the oracle that is a barrier.
   double drc_barrier_runtime_s = 0.0;
-  /// Total oracle work: drc_overlap_runtime_s + drc_barrier_runtime_s. No
-  /// longer pure tail latency when the overlapped schedule hides the per-net
-  /// share behind extension.
+  /// Total oracle work: drc_overlap_runtime_s + drc_barrier_runtime_s. Not
+  /// pure tail latency: the per-net share overlaps extension.
   double drc_runtime_s = 0.0;
   /// Everything this group's route read or produced, geometrically: the
   /// union of member routable-area bboxes and pre-/post-route path bboxes.

@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <functional>
+#include <chrono>
 #include <mutex>
 #include <set>
 #include <stdexcept>
@@ -163,6 +163,32 @@ TEST(ParallelForDynamic, PropagatesExceptions) {
                std::invalid_argument);
 }
 
+TEST(ParallelForDynamic, ExceptionReachesCallerOnlyAfterEveryClaimerFinished) {
+  // Router::run restores every written-back member as soon as its member
+  // fan-out throws, so no claimer may still be running when the exception
+  // reaches the caller. Index 0 throws at once on whichever claimer takes it
+  // (normally the caller, which claims right after submitting the workers);
+  // 37 and 63 throw on other claimers while their siblings are mid-call.
+  TaskPool pool(3);
+  for (int trial = 0; trial < 20; ++trial) {
+    std::atomic<int> running{0};
+    std::atomic<int> started{0};
+    std::atomic<int> finished{0};
+    const auto member = [&](std::size_t i) {
+      ++started;
+      ++running;
+      const bool fail = i == 0 || i == 37 || i == 63;
+      if (!fail) std::this_thread::sleep_for(std::chrono::microseconds(200));
+      --running;
+      ++finished;
+      if (fail) throw std::runtime_error("member failed");
+    };
+    EXPECT_THROW(parallel_for_dynamic(pool, 100, 4, member), std::runtime_error);
+    EXPECT_EQ(running.load(), 0) << "trial " << trial;
+    EXPECT_EQ(finished.load(), started.load()) << "trial " << trial;
+  }
+}
+
 TEST(ParallelForDynamic, NestedSubmissionDoesNotDeadlock) {
   // The Suite-runs-Router shape: outer tasks fan out again on the same
   // pool and wait. With blocking waiters this deadlocks as soon as the
@@ -191,95 +217,6 @@ TEST(TaskPool, PersistsAcrossRepeatedFanOuts) {
     });
   }
   EXPECT_LE(seen.size(), pool.worker_count() + 1);
-}
-
-TEST(TaskGroupChain, StagesRunStrictlyInOrder) {
-  TaskPool pool(3);
-  TaskGroup group(pool);
-  std::vector<int> order;
-  std::mutex mu;
-  const auto stage = [&](int k) {
-    return [&, k] {
-      std::lock_guard<std::mutex> lock(mu);
-      order.push_back(k);
-    };
-  };
-  group.run_chain({stage(0), stage(1), stage(2), stage(3)});
-  group.wait();
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
-}
-
-TEST(TaskGroupChain, LaterStagesSeePredecessorWrites) {
-  // The continuation contract the router's write-back -> DRC handoff rests
-  // on: stage k+1 is submitted after stage k returned, so plain (unsynced)
-  // writes are visible through the submit/execute edge.
-  TaskPool pool(2);
-  TaskGroup group(pool);
-  for (int rep = 0; rep < 100; ++rep) {
-    int value = 0;
-    bool saw = false;
-    group.run_chain({[&] { value = 42; }, [&] { saw = value == 42; }});
-    group.wait();
-    ASSERT_TRUE(saw) << "rep " << rep;
-  }
-}
-
-TEST(TaskGroupChain, ThrowShortCircuitsTheTailButDrainsSiblings) {
-  TaskPool pool(2);
-  TaskGroup group(pool);
-  std::atomic<bool> tail_ran{false};
-  std::atomic<int> sibling_stages{0};
-  group.run_chain({[] {}, [] { throw std::runtime_error("stage failed"); },
-                   [&] { tail_ran = true; }});
-  for (int c = 0; c < 8; ++c) {
-    group.run_chain({[&] { ++sibling_stages; }, [&] { ++sibling_stages; }});
-  }
-  EXPECT_THROW(group.wait(), std::runtime_error);
-  EXPECT_FALSE(tail_ran.load());           // the failed chain's tail never queued
-  EXPECT_EQ(sibling_stages.load(), 16);    // other chains drained fully
-}
-
-TEST(TaskGroupChain, ManyChainsInterleaveWithPerChainOrder) {
-  TaskPool pool(3);
-  TaskGroup group(pool);
-  constexpr int kChains = 32;
-  constexpr int kStages = 4;
-  std::atomic<int> progress[kChains];
-  std::atomic<bool> in_order{true};
-  for (auto& p : progress) p = 0;
-  for (int c = 0; c < kChains; ++c) {
-    std::vector<std::function<void()>> stages;
-    for (int k = 0; k < kStages; ++k) {
-      stages.push_back([&, c, k] {
-        if (progress[c].exchange(k + 1) != k) in_order = false;
-      });
-    }
-    group.run_chain(std::move(stages));
-  }
-  group.wait();
-  EXPECT_TRUE(in_order.load());
-  for (const auto& p : progress) EXPECT_EQ(p.load(), kStages);
-}
-
-TEST(TaskGroupChain, SubmittedFromWorkerTaskRunsToCompletion) {
-  // A chain launched from inside a pool task (the router launches successor
-  // member chains from chain tails) lands on that worker's own deque and
-  // still completes before wait() returns.
-  TaskPool pool(2);
-  TaskGroup group(pool);
-  std::atomic<int> done{0};
-  group.run([&] {
-    group.run_chain({[&] { ++done; }, [&] { ++done; }});
-  });
-  group.wait();
-  EXPECT_EQ(done.load(), 2);
-}
-
-TEST(TaskGroupChain, EmptyChainIsANoOp) {
-  TaskPool pool(1);
-  TaskGroup group(pool);
-  group.run_chain({});
-  group.wait();  // must not hang or underflow the pending count
 }
 
 }  // namespace

@@ -88,7 +88,7 @@ TEST(ClearanceIndex, InsertionOrderCannotChangeTheResult) {
 }
 
 TEST(ClearanceIndex, ConcurrentInsertsMatchSerial) {
-  // The pipeline inserts each member's geometry from its own chain; distinct
+  // The router inserts each member's geometry from its own task; distinct
   // slots must be safely writable from concurrent tasks.
   const DenseBoard b = dense_board(3);
   const auto reference = oracle::sweep(b.slots, b.rules);

@@ -50,7 +50,7 @@ TEST(FaultInjection, ExtendFaultRollsBackAndRetrySucceeds) {
   RouterOptions opts = storm_options(storm.scenario);
   opts.fault_scope = "b0";
   opts.fault_plan = std::make_shared<fault::FaultPlan>();
-  // Second member of group 0 dies once: sibling chains may already have
+  // Second member of group 0 dies once: sibling members may already have
   // written back, so this exercises the restore loop, not just the throw.
   opts.fault_plan->add({fault::extend_site("b0", 0, 1), /*nth=*/1, /*count=*/1});
 
@@ -105,7 +105,7 @@ TEST(FaultInjection, BoardRouteRollsBackSiblingGroupsOnFault) {
 }
 
 TEST(FaultInjection, SweepFaultStillRollsBackEveryWriteback) {
-  // The sweep site sits after all member chains completed — every member
+  // The sweep site sits after every member's closure completed — every member
   // has written back by then, so rollback must restore all of them.
   scenario::EditStorm storm =
       scenario::materialize_storm(scenario::edit_storm_cases(true).at(0));

@@ -9,11 +9,11 @@
 #include "scenario/scenario_families.hpp"
 #include "workload/table1_cases.hpp"
 
-/// Tests of the staged extend → write-back → per-net-DRC pipeline: the
-/// overlapped schedule must be observationally identical to the legacy
-/// barrier schedule — same geometry, same violations in the same order —
-/// on every scenario family and at every thread count, and a chain that
-/// throws mid-graph must leave the layout untouched.
+/// Tests of the per-member extend → write-back → per-net-DRC closure: a
+/// threaded route must be observationally identical to the serial one —
+/// same geometry, same violations in the same order — on every scenario
+/// family, and a member that throws mid-group must leave the layout
+/// untouched.
 
 namespace lmr::pipeline {
 namespace {
@@ -78,51 +78,51 @@ void expect_identical_geometry(const layout::Layout& a, const layout::Layout& b,
   }
 }
 
-/// Overlapped vs barrier on every smoke scenario family, including `table1`
+/// Threaded vs serial on every smoke scenario family, including `table1`
 /// whose dense diff cases carry real (expected) oracle violations — the
-/// violation *sets and orders* must match, not just their counts.
+/// violation *sets and orders* must match, not just their counts. The
+/// serial route runs every member's closure in member order, so it is the
+/// reference the overlapped per-net checks of a threaded route must match.
 TEST(PipelineOverlap, MatchesBarrierOnAllScenarioFamilies) {
   for (const std::string& fam_name : scenario::family_names()) {
     const scenario::Family fam = scenario::family(fam_name, /*smoke=*/true);
     for (std::size_t c = 0; c < fam.cases.size(); ++c) {
-      scenario::Scenario barrier_sc = scenario::materialize(fam.cases[c]);
+      scenario::Scenario serial_sc = scenario::materialize(fam.cases[c]);
       RouterOptions opts = bench_options();
-      if (barrier_sc.spec.extender_tolerance > 0.0) {
-        opts.extender.tolerance = barrier_sc.spec.extender_tolerance;
+      if (serial_sc.spec.extender_tolerance > 0.0) {
+        opts.extender.tolerance = serial_sc.spec.extender_tolerance;
       }
-      if (barrier_sc.pair_rule_set.size() > 1) {
-        opts.pair_rule_set = barrier_sc.pair_rule_set;
+      if (serial_sc.pair_rule_set.size() > 1) {
+        opts.pair_rule_set = serial_sc.pair_rule_set;
       }
-      opts.drc_schedule = DrcSchedule::Barrier;
       opts.threads = 1;
       const std::vector<RouteResult> reference =
-          Router(barrier_sc.rules, opts).route_all(barrier_sc.layout);
+          Router(serial_sc.rules, opts).route_all(serial_sc.layout);
 
-      for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+      for (const std::size_t threads : {std::size_t{2}, std::size_t{4}}) {
         scenario::Scenario sc = scenario::materialize(fam.cases[c]);
-        RouterOptions oopts = opts;
-        oopts.drc_schedule = DrcSchedule::Overlapped;
-        oopts.threads = threads;
-        const std::vector<RouteResult> overlapped =
-            Router(sc.rules, oopts).route_all(sc.layout);
+        RouterOptions topts = opts;
+        topts.threads = threads;
+        const std::vector<RouteResult> threaded =
+            Router(sc.rules, topts).route_all(sc.layout);
 
         const std::string what =
             fam_name + "/case" + std::to_string(c) + "/t" + std::to_string(threads);
-        ASSERT_EQ(overlapped.size(), reference.size()) << what;
-        for (std::size_t g = 0; g < overlapped.size(); ++g) {
-          expect_identical_results(overlapped[g], reference[g],
+        ASSERT_EQ(threaded.size(), reference.size()) << what;
+        for (std::size_t g = 0; g < threaded.size(); ++g) {
+          expect_identical_results(threaded[g], reference[g],
                                    what + "/g" + std::to_string(g));
         }
-        expect_identical_geometry(sc.layout, barrier_sc.layout, what);
+        expect_identical_geometry(sc.layout, serial_sc.layout, what);
       }
     }
   }
 }
 
 /// A board where exactly one member's extension throws (its initial length
-/// already exceeds the group target): sibling chains have extended and
+/// already exceeds the group target): sibling members have extended and
 /// written back by then, so the rollback must restore *their* geometry too
-/// — the layout stays untouched at every thread count and schedule.
+/// — the layout stays untouched at every thread count.
 TEST(PipelineOverlap, PartiallyFailedGroupLeavesLayoutUntouched) {
   const auto make_board = [](drc::DesignRules& rules) {
     layout::Layout l;
@@ -134,7 +134,7 @@ TEST(PipelineOverlap, PartiallyFailedGroupLeavesLayoutUntouched) {
       t.name = "t" + std::to_string(i);
       const double y = i * 10.0;
       // Member 3 is born longer than the target: its extension throws while
-      // the cheap members may already be through their whole chain.
+      // the cheap members may already be through their whole closure.
       const double len = i == 3 ? 60.0 : 30.0;
       t.path = geom::Polyline{{{0, y}, {len, y}}};
       const auto id = l.add_trace(t);
@@ -151,28 +151,21 @@ TEST(PipelineOverlap, PartiallyFailedGroupLeavesLayoutUntouched) {
     return l;
   };
 
-  for (const DrcSchedule schedule : {DrcSchedule::Overlapped, DrcSchedule::Barrier}) {
-    for (const std::size_t threads :
-         {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
-      drc::DesignRules rules;
-      layout::Layout l = make_board(rules);
-      const layout::Layout before = l;
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
+    drc::DesignRules rules;
+    layout::Layout l = make_board(rules);
+    const layout::Layout before = l;
 
-      RouterOptions opts;
-      opts.threads = threads;
-      opts.drc_schedule = schedule;
-      const Router router(rules, opts);
-      const std::string what = std::string(schedule == DrcSchedule::Overlapped
-                                               ? "overlapped"
-                                               : "barrier") +
-                               "/t" + std::to_string(threads);
-      EXPECT_THROW((void)router.route_batch(l), std::invalid_argument) << what;
-      expect_identical_geometry(before, l, what);
-    }
+    RouterOptions opts;
+    opts.threads = threads;
+    const Router router(rules, opts);
+    const std::string what = "t" + std::to_string(threads);
+    EXPECT_THROW((void)router.route_batch(l), std::invalid_argument) << what;
+    expect_identical_geometry(before, l, what);
   }
 }
 
-/// The overlapped pipeline is deterministic across thread counts on a board
+/// The member fan-out is deterministic across thread counts on a board
 /// with genuine violations: identical geometry and identical violation
 /// sequences, not merely equal counts.
 TEST(PipelineOverlap, DeterministicViolationsAcrossThreadCounts) {

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "exec/task_pool.hpp"
+#include "pipeline/session.hpp"
 #include "scenario/scenario_families.hpp"
 #include "workload/metrics.hpp"
 #include "workload/table1_cases.hpp"
@@ -175,6 +176,15 @@ TEST(Router, BatchIdenticalSingleVsMultiThreaded) {
       EXPECT_DOUBLE_EQ(p.negative.path.length(),
                        threaded.layout.pair(id).negative.path.length());
     }
+    // Exact: geometry bit for bit (sub-traces included) and violations field
+    // by field, in order.
+    BoardRoute want;
+    want.results = {res_seq};
+    BoardRoute got;
+    got.results = {res_par};
+    std::string why;
+    EXPECT_TRUE(routes_equivalent(sequential.layout, want, threaded.layout, got, &why))
+        << "case " << case_id << ": " << why;
   }
 }
 
@@ -244,6 +254,13 @@ TEST(Router, RouteAllDeterministicAcrossThreadCounts) {
         }
       }
       expect_identical_geometry(reference, sc.layout);
+      BoardRoute want;
+      want.results = ref_results;
+      BoardRoute got;
+      got.results = results;
+      std::string why;
+      EXPECT_TRUE(routes_equivalent(reference, want, sc.layout, got, &why))
+          << threads << " threads: " << why;
     }
   }
 }

@@ -2,8 +2,8 @@
 ///
 /// The contract under test: a `pipeline::Session` driven through an edit
 /// script must end bit-identical — member geometry and violation sets — to
-/// generating the edited board from scratch and routing it fresh, under
-/// every DRC schedule and thread count; and the reroute must actually prune
+/// generating the edited board from scratch and routing it fresh, at every
+/// thread count; and the reroute must actually prune
 /// work (strictly fewer groups re-run than the board holds) on the
 /// multi-group storms. Plus the session-level mutation invariants: stale or
 /// out-of-order delta lists are rejected, edits cannot interleave with a
@@ -30,12 +30,10 @@ namespace {
 
 /// The bench suite's router configuration (Suite::router_options_for), so
 /// the oracle runs the exact flow the recorded storms were validated under.
-RouterOptions storm_options(const scenario::Scenario& sc, DrcSchedule schedule,
-                            std::size_t threads) {
+RouterOptions storm_options(const scenario::Scenario& sc, std::size_t threads) {
   RouterOptions o;
   o.extender.l_disc = 0.5;
   o.extender.max_width_steps = 24;
-  o.drc_schedule = schedule;
   o.threads = threads;
   if (sc.spec.extender_tolerance > 0.0) o.extender.tolerance = sc.spec.extender_tolerance;
   if (sc.pair_rule_set.size() > 1) o.pair_rule_set = sc.pair_rule_set;
@@ -45,8 +43,7 @@ RouterOptions storm_options(const scenario::Scenario& sc, DrcSchedule schedule,
 TEST(Session, ApplyBeforeRouteThrows) {
   scenario::EditStorm storm =
       scenario::materialize_storm(scenario::edit_storm_cases(true).at(0));
-  Session session(storm.scenario.rules,
-                  storm_options(storm.scenario, DrcSchedule::Overlapped, 1),
+  Session session(storm.scenario.rules, storm_options(storm.scenario, 1),
                   storm.scenario.layout);
   EXPECT_THROW((void)session.apply(storm.edits.front()), std::logic_error);
 }
@@ -58,48 +55,44 @@ TEST(Session, EditStormsMatchFreshRouteUnderEverySchedule) {
       {"mega_board/smoke", scenario::family("mega_board", true).cases.at(0), 3, 1201});
   for (const scenario::EditStormCase& c : cases) {
     scenario::EditStorm storm = scenario::materialize_storm(c);
-    for (const DrcSchedule schedule :
-         {DrcSchedule::Barrier, DrcSchedule::Overlapped}) {
-      for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-        SCOPED_TRACE(c.name + (schedule == DrcSchedule::Barrier ? "/barrier" : "/overlap") +
-                     "/t" + std::to_string(threads));
-        const RouterOptions opts = storm_options(storm.scenario, schedule, threads);
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+      SCOPED_TRACE(c.name + "/t" + std::to_string(threads));
+      const RouterOptions opts = storm_options(storm.scenario, threads);
 
-        Session session(storm.scenario.rules, opts, storm.scenario.layout);
-        session.route();
-        const std::uint64_t v0 = session.version();  // route() never edits
-        EXPECT_EQ(v0, storm.scenario.layout.version());
+      Session session(storm.scenario.rules, opts, storm.scenario.layout);
+      session.route();
+      const std::uint64_t v0 = session.version();  // route() never edits
+      EXPECT_EQ(v0, storm.scenario.layout.version());
 
-        std::size_t rerouted_total = 0;
-        bool pruned = false;
-        for (const layout::BoardEdit& edit : storm.edits) {
-          const ApplyOutcome out = session.apply(edit);
-          EXPECT_FALSE(out.deltas.empty());
-          rerouted_total += out.rerouted_groups.size();
-          if (out.rerouted_groups.size() < out.groups_total) pruned = true;
-        }
-        EXPECT_GT(session.version(), v0);
-
-        // Fresh oracle: same pristine board, same script, routed from zero.
-        scenario::Scenario fresh = scenario::materialize(c.base);
-        for (const layout::BoardEdit& edit : storm.edits) {
-          layout::apply_edit(fresh.layout, edit);
-        }
-        const Router router(fresh.rules, opts);
-        const BoardRoute full = router.route_board(fresh.layout);
-        std::string why;
-        EXPECT_TRUE(routes_equivalent(session.layout(), session.route_state(),
-                                      fresh.layout, full, &why))
-            << why;
-
-        // Multi-group storms must prove incrementality, not just equality:
-        // at least one edit re-routes strictly fewer groups than exist.
-        if (session.layout().groups().size() > 1) {
-          EXPECT_TRUE(pruned) << "every edit re-routed all "
-                              << session.layout().groups().size() << " groups";
-        }
-        EXPECT_GT(rerouted_total, 0u);
+      std::size_t rerouted_total = 0;
+      bool pruned = false;
+      for (const layout::BoardEdit& edit : storm.edits) {
+        const ApplyOutcome out = session.apply(edit);
+        EXPECT_FALSE(out.deltas.empty());
+        rerouted_total += out.rerouted_groups.size();
+        if (out.rerouted_groups.size() < out.groups_total) pruned = true;
       }
+      EXPECT_GT(session.version(), v0);
+
+      // Fresh oracle: same pristine board, same script, routed from zero.
+      scenario::Scenario fresh = scenario::materialize(c.base);
+      for (const layout::BoardEdit& edit : storm.edits) {
+        layout::apply_edit(fresh.layout, edit);
+      }
+      const Router router(fresh.rules, opts);
+      const BoardRoute full = router.route_board(fresh.layout);
+      std::string why;
+      EXPECT_TRUE(routes_equivalent(session.layout(), session.route_state(),
+                                    fresh.layout, full, &why))
+          << why;
+
+      // Multi-group storms must prove incrementality, not just equality:
+      // at least one edit re-routes strictly fewer groups than exist.
+      if (session.layout().groups().size() > 1) {
+        EXPECT_TRUE(pruned) << "every edit re-routed all "
+                            << session.layout().groups().size() << " groups";
+      }
+      EXPECT_GT(rerouted_total, 0u);
     }
   }
 }
@@ -107,7 +100,7 @@ TEST(Session, EditStormsMatchFreshRouteUnderEverySchedule) {
 TEST(Session, BoardClearanceMatchesAFreshSessionOnTheEditedBoard) {
   const scenario::EditStormCase c = scenario::edit_storm_cases(true).at(0);
   scenario::EditStorm storm = scenario::materialize_storm(c);
-  const RouterOptions opts = storm_options(storm.scenario, DrcSchedule::Overlapped, 1);
+  const RouterOptions opts = storm_options(storm.scenario, 1);
 
   Session session(storm.scenario.rules, opts, storm.scenario.layout);
   session.route();
@@ -140,7 +133,7 @@ TEST(Session, BoardClearanceMatchesAFreshSessionOnTheEditedBoard) {
 TEST(Reroute, RejectsStaleAndOutOfOrderDeltaLists) {
   scenario::EditStorm storm =
       scenario::materialize_storm(scenario::edit_storm_cases(true).at(0));
-  const RouterOptions opts = storm_options(storm.scenario, DrcSchedule::Overlapped, 1);
+  const RouterOptions opts = storm_options(storm.scenario, 1);
   const Router router(storm.scenario.rules, opts);
 
   layout::Layout board = storm.scenario.layout;
@@ -174,7 +167,7 @@ TEST(Reroute, RejectsStaleAndOutOfOrderDeltaLists) {
 TEST(Reroute, VersionIsMonotoneAcrossRouteAndReroute) {
   scenario::EditStorm storm =
       scenario::materialize_storm(scenario::edit_storm_cases(true).at(0));
-  const RouterOptions opts = storm_options(storm.scenario, DrcSchedule::Overlapped, 1);
+  const RouterOptions opts = storm_options(storm.scenario, 1);
   const Router router(storm.scenario.rules, opts);
 
   layout::Layout board = storm.scenario.layout;
@@ -199,8 +192,7 @@ TEST(Session, ApplyOutcomeCorrelatesEditsWithJournalVersions) {
   // the edit that produced it, without re-reading deltas_since.
   scenario::EditStorm storm =
       scenario::materialize_storm(scenario::edit_storm_cases(true).at(0));
-  Session session(storm.scenario.rules,
-                  storm_options(storm.scenario, DrcSchedule::Overlapped, 1),
+  Session session(storm.scenario.rules, storm_options(storm.scenario, 1),
                   storm.scenario.layout);
   session.route();
 
@@ -243,7 +235,7 @@ TEST(Session, ReleaseThenThawContinuesIdentically) {
   // session that never released — the service's thaw-on-next-edit contract.
   const scenario::EditStormCase c = scenario::edit_storm_cases(true).at(0);
   scenario::EditStorm storm = scenario::materialize_storm(c);
-  const RouterOptions opts = storm_options(storm.scenario, DrcSchedule::Overlapped, 1);
+  const RouterOptions opts = storm_options(storm.scenario, 1);
   ASSERT_GE(storm.edits.size(), 2u);
 
   Session witness(storm.scenario.rules, opts, storm.scenario.layout);
@@ -271,7 +263,7 @@ TEST(Session, ReleaseThenThawContinuesIdentically) {
 TEST(Session, ReleaseAndThawErrorPaths) {
   scenario::EditStorm storm =
       scenario::materialize_storm(scenario::edit_storm_cases(true).at(0));
-  const RouterOptions opts = storm_options(storm.scenario, DrcSchedule::Overlapped, 1);
+  const RouterOptions opts = storm_options(storm.scenario, 1);
 
   // release() before route(): no whole-board route to snapshot.
   Session unrouted(storm.scenario.rules, opts, storm.scenario.layout);
@@ -309,7 +301,7 @@ TEST(Session, BatchApplyReroutesThePrefixBeforeRethrowing) {
   // then keep working normally.
   const scenario::EditStormCase c = scenario::edit_storm_cases(true).at(0);
   scenario::EditStorm storm = scenario::materialize_storm(c);
-  const RouterOptions opts = storm_options(storm.scenario, DrcSchedule::Overlapped, 1);
+  const RouterOptions opts = storm_options(storm.scenario, 1);
   Session session(storm.scenario.rules, opts, storm.scenario.layout);
   session.route();
 
@@ -391,7 +383,7 @@ TEST(Session, MidBatchApplyFaultKeepsThePrefixContract) {
   const scenario::EditStormCase c = scenario::edit_storm_cases(true).at(0);
   scenario::EditStorm storm = scenario::materialize_storm(c);
   ASSERT_GE(storm.edits.size(), 3u);
-  RouterOptions opts = storm_options(storm.scenario, DrcSchedule::Overlapped, 1);
+  RouterOptions opts = storm_options(storm.scenario, 1);
   opts.fault_scope = "sess";
   opts.fault_plan = std::make_shared<fault::FaultPlan>();
   opts.fault_plan->add({fault::apply_site("sess"), /*nth=*/2, /*count=*/1});
@@ -413,8 +405,7 @@ TEST(Session, MidBatchApplyFaultKeepsThePrefixContract) {
 
   scenario::Scenario prefix = scenario::materialize(c.base);
   layout::apply_edit(prefix.layout, storm.edits.at(0));
-  const Router router(prefix.rules,
-                      storm_options(prefix, DrcSchedule::Overlapped, 1));
+  const Router router(prefix.rules, storm_options(prefix, 1));
   const BoardRoute prefix_route = router.route_board(prefix.layout);
   std::string why;
   EXPECT_TRUE(routes_equivalent(session.layout(), session.route_state(),
@@ -441,7 +432,7 @@ TEST(Session, RerouteFaultLeavesSessionOutOfSyncAndResyncHeals) {
   // oracle without re-lowering anything.
   const scenario::EditStormCase c = scenario::edit_storm_cases(true).at(0);
   scenario::EditStorm storm = scenario::materialize_storm(c);
-  RouterOptions opts = storm_options(storm.scenario, DrcSchedule::Overlapped, 1);
+  RouterOptions opts = storm_options(storm.scenario, 1);
 
   // Count the members the initial route extends: the fault window starts
   // right after them, so the reroute's first member extension dies.
@@ -472,8 +463,7 @@ TEST(Session, RerouteFaultLeavesSessionOutOfSyncAndResyncHeals) {
 
   scenario::Scenario fresh = scenario::materialize(c.base);
   layout::apply_edit(fresh.layout, storm.edits.at(0));
-  const Router router(fresh.rules,
-                      storm_options(fresh, DrcSchedule::Overlapped, 1));
+  const Router router(fresh.rules, storm_options(fresh, 1));
   const BoardRoute full = router.route_board(fresh.layout);
   std::string why;
   EXPECT_TRUE(routes_equivalent(session.layout(), session.route_state(),

@@ -13,21 +13,19 @@
 /// board-wide layout::ObstacleIndex, shared read-only by every group task,
 /// now does that job. The contract the tiles were held to stays: how the
 /// board is scheduled never changes the outcome. Routed geometry and
-/// violation sets are bit-identical for every thread count and DRC
-/// schedule, and an incremental reroute equals a fresh route.
+/// violation sets are bit-identical for every thread count, and an
+/// incremental reroute equals a fresh route.
 
 namespace lmr::pipeline {
 namespace {
 
 /// The bench suite's router configuration (Suite::router_options_for),
-/// with the scheduling knobs under test on top.
-RouterOptions mega_options(const scenario::Scenario& sc, std::size_t threads,
-                           DrcSchedule schedule) {
+/// with the thread count under test on top.
+RouterOptions mega_options(const scenario::Scenario& sc, std::size_t threads) {
   RouterOptions o;
   o.extender.l_disc = 0.5;
   o.extender.max_width_steps = 24;
   o.threads = threads;
-  o.drc_schedule = schedule;
   if (sc.spec.extender_tolerance > 0.0) o.extender.tolerance = sc.spec.extender_tolerance;
   if (sc.pair_rule_set.size() > 1) o.pair_rule_set = sc.pair_rule_set;
   return o;
@@ -38,23 +36,19 @@ scenario::Scenario mega_smoke() {
 }
 
 TEST(TileRouting, MegaBoardRouteIsIdenticalAcrossTilesAndThreads) {
-  // Baseline: serial, overlapped DRC. Every (threads, schedule) combination
-  // must reproduce it bit for bit.
+  // Baseline: serial. Every thread count must reproduce it bit for bit.
   scenario::Scenario base = mega_smoke();
-  const Router baseline(base.rules, mega_options(base, 1, DrcSchedule::Overlapped));
+  const Router baseline(base.rules, mega_options(base, 1));
   const BoardRoute want = baseline.route_board(base.layout);
   ASSERT_GT(base.layout.groups().size(), 1u);
 
   for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
-    for (const DrcSchedule schedule : {DrcSchedule::Overlapped, DrcSchedule::Barrier}) {
-      SCOPED_TRACE("threads " + std::to_string(threads) + " schedule " +
-                   (schedule == DrcSchedule::Barrier ? "barrier" : "overlapped"));
-      scenario::Scenario sc = mega_smoke();
-      const Router router(sc.rules, mega_options(sc, threads, schedule));
-      const BoardRoute got = router.route_board(sc.layout);
-      std::string why;
-      EXPECT_TRUE(routes_equivalent(base.layout, want, sc.layout, got, &why)) << why;
-    }
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    scenario::Scenario sc = mega_smoke();
+    const Router router(sc.rules, mega_options(sc, threads));
+    const BoardRoute got = router.route_board(sc.layout);
+    std::string why;
+    EXPECT_TRUE(routes_equivalent(base.layout, want, sc.layout, got, &why)) << why;
   }
 }
 
@@ -79,7 +73,7 @@ TEST(TileRouting, RerouteUnderTilingMatchesFreshRoute) {
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
     SCOPED_TRACE("threads " + std::to_string(threads));
     scenario::Scenario sc = mega_smoke();
-    const Router router(sc.rules, mega_options(sc, threads, DrcSchedule::Overlapped));
+    const Router router(sc.rules, mega_options(sc, threads));
     const BoardRoute prior = router.route_board(sc.layout);
     edits(sc.layout);
     const BoardRoute incremental = router.reroute(sc.layout, prior);
@@ -89,7 +83,7 @@ TEST(TileRouting, RerouteUnderTilingMatchesFreshRoute) {
 
     scenario::Scenario fresh = mega_smoke();
     edits(fresh.layout);
-    const Router oracle(fresh.rules, mega_options(fresh, 1, DrcSchedule::Overlapped));
+    const Router oracle(fresh.rules, mega_options(fresh, 1));
     const BoardRoute full = oracle.route_board(fresh.layout);
     std::string why;
     EXPECT_TRUE(routes_equivalent(sc.layout, incremental, fresh.layout, full, &why))

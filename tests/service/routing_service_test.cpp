@@ -3,15 +3,15 @@
 /// The hard contract mirrors the session oracle, lifted to N boards: after
 /// replaying a service_storm stream — queued edits, coalesced batches,
 /// mid-stream eviction and thaw included — every board's end state must be
-/// routes_equivalent to a fresh route_board of its edited board, under both
-/// DRC schedules and at 1 and 4 threads. Around it, the scheduling
-/// semantics the bench counters report: edits queue instead of hitting the
-/// RoutingFreeze throw, a serial service coalesces a burst into one batch,
-/// eviction refuses busy/queued boards, and a failed edit surfaces at
-/// drain() without wedging the board. The robustness tier rides the same
-/// oracle: injected faults retried to the same end state, quarantine
-/// reverting to the last-good snapshot, resurrect + replay converging, and
-/// queue backpressure shedding typed rejections.
+/// routes_equivalent to a fresh route_board of its edited board at 1 and 4
+/// threads. Around it, the scheduling semantics the bench counters report:
+/// edits queue instead of hitting the RoutingFreeze throw, a serial service
+/// coalesces a burst into one batch, eviction refuses busy/queued boards,
+/// and a failed edit surfaces at drain() without wedging the board. The
+/// robustness tier rides the same oracle: injected faults retried to the
+/// same end state, quarantine reverting to the last-good snapshot,
+/// resurrect + replay converging, and queue backpressure shedding typed
+/// rejections.
 
 #include <cstddef>
 #include <memory>
@@ -33,12 +33,10 @@ namespace {
 
 /// The bench suite's router configuration (Suite::scenario_router_options):
 /// the storms were generated and validated under exactly this flow.
-pipeline::RouterOptions storm_options(const scenario::Scenario& sc,
-                                      pipeline::DrcSchedule schedule) {
+pipeline::RouterOptions storm_options(const scenario::Scenario& sc) {
   pipeline::RouterOptions o;
   o.extender.l_disc = 0.5;
   o.extender.max_width_steps = 24;
-  o.drc_schedule = schedule;
   if (sc.spec.extender_tolerance > 0.0) o.extender.tolerance = sc.spec.extender_tolerance;
   if (sc.pair_rule_set.size() > 1) o.pair_rule_set = sc.pair_rule_set;
   return o;
@@ -63,55 +61,51 @@ TEST(RoutingService, ServiceStormMatchesFreshRoutesUnderEverySchedule) {
   scenario::ServiceStorm storm = scenario::materialize_service_storm(c);
   ASSERT_GE(storm.boards.size(), 8u);
 
-  for (const pipeline::DrcSchedule schedule :
-       {pipeline::DrcSchedule::Barrier, pipeline::DrcSchedule::Overlapped}) {
-    // Fresh oracles once per schedule: regenerate each board, replay its
-    // script, route from scratch.
-    std::vector<scenario::Scenario> fresh;
-    std::vector<pipeline::BoardRoute> fresh_routes;
+  // Fresh oracles: regenerate each board, replay its script, route from
+  // scratch.
+  std::vector<scenario::Scenario> fresh;
+  std::vector<pipeline::BoardRoute> fresh_routes;
+  for (const scenario::EditStorm& bs : storm.boards) {
+    scenario::Scenario f = scenario::materialize(bs.spec.base);
+    for (const layout::BoardEdit& e : bs.edits) layout::apply_edit(f.layout, e);
+    const pipeline::Router router(f.rules, storm_options(f));
+    fresh_routes.push_back(router.route_board(f.layout));
+    fresh.push_back(std::move(f));
+  }
+
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE("t" + std::to_string(threads));
+    ServiceOptions sopts;
+    sopts.threads = threads;
+    RoutingService svc(sopts);
     for (const scenario::EditStorm& bs : storm.boards) {
-      scenario::Scenario f = scenario::materialize(bs.spec.base);
-      for (const layout::BoardEdit& e : bs.edits) layout::apply_edit(f.layout, e);
-      const pipeline::Router router(f.rules, storm_options(f, schedule));
-      fresh_routes.push_back(router.route_board(f.layout));
-      fresh.push_back(std::move(f));
+      svc.add_board(bs.spec.name, bs.scenario.rules,
+                    storm_options(bs.scenario), bs.scenario.layout);
+    }
+    svc.drain();
+    replay(svc, storm);
+
+    ServiceTotals totals = svc.totals();
+    EXPECT_EQ(totals.submitted, storm.stream.size());
+    EXPECT_EQ(totals.applied, storm.stream.size());
+    // The stream's evict marker fired mid-replay and later edits thawed.
+    EXPECT_GT(totals.evictions, 0u);
+    EXPECT_GT(totals.thaws, 0u);
+    EXPECT_LE(totals.thaws, totals.evictions);
+    if (threads == 1) {
+      // Serial replay queues whole bursts between drains: coalescing is
+      // deterministic, not a scheduling accident.
+      EXPECT_GT(totals.coalesced_batches, 0u);
+      EXPECT_GT(totals.max_batch, 1u);
     }
 
-    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-      SCOPED_TRACE((schedule == pipeline::DrcSchedule::Barrier ? "barrier" : "overlap") +
-                   std::string("/t") + std::to_string(threads));
-      ServiceOptions sopts;
-      sopts.threads = threads;
-      RoutingService svc(sopts);
-      for (const scenario::EditStorm& bs : storm.boards) {
-        svc.add_board(bs.spec.name, bs.scenario.rules,
-                      storm_options(bs.scenario, schedule), bs.scenario.layout);
-      }
-      svc.drain();
-      replay(svc, storm);
-
-      ServiceTotals totals = svc.totals();
-      EXPECT_EQ(totals.submitted, storm.stream.size());
-      EXPECT_EQ(totals.applied, storm.stream.size());
-      // The stream's evict marker fired mid-replay and later edits thawed.
-      EXPECT_GT(totals.evictions, 0u);
-      EXPECT_GT(totals.thaws, 0u);
-      EXPECT_LE(totals.thaws, totals.evictions);
-      if (threads == 1) {
-        // Serial replay queues whole bursts between drains: coalescing is
-        // deterministic, not a scheduling accident.
-        EXPECT_GT(totals.coalesced_batches, 0u);
-        EXPECT_GT(totals.max_batch, 1u);
-      }
-
-      for (std::size_t b = 0; b < storm.boards.size(); ++b) {
-        const std::string& id = storm.boards[b].spec.name;
-        std::string why;
-        EXPECT_TRUE(pipeline::routes_equivalent(svc.board_layout(id),
-                                                svc.board_route(id), fresh[b].layout,
-                                                fresh_routes[b], &why))
-            << id << ": " << why;
-      }
+    for (std::size_t b = 0; b < storm.boards.size(); ++b) {
+      const std::string& id = storm.boards[b].spec.name;
+      std::string why;
+      EXPECT_TRUE(pipeline::routes_equivalent(svc.board_layout(id),
+                                              svc.board_route(id), fresh[b].layout,
+                                              fresh_routes[b], &why))
+          << id << ": " << why;
     }
   }
 }
@@ -127,8 +121,7 @@ TEST(RoutingService, SerialServiceCoalescesABurstIntoOneBatch) {
   RoutingService svc(sopts);
   const std::string id = bs.spec.name;
   svc.add_board(id, bs.scenario.rules,
-                storm_options(bs.scenario, pipeline::DrcSchedule::Overlapped),
-                bs.scenario.layout);
+                storm_options(bs.scenario), bs.scenario.layout);
   svc.drain();
 
   // A burst of 3 submits with no drain between: all of them queue (the
@@ -153,8 +146,7 @@ TEST(RoutingService, SerialServiceCoalescesABurstIntoOneBatch) {
   // session as one batch.
   scenario::Scenario f = scenario::materialize(bs.spec.base);
   for (std::size_t k = 0; k < 3; ++k) layout::apply_edit(f.layout, bs.edits.at(k));
-  const pipeline::Router router(
-      f.rules, storm_options(f, pipeline::DrcSchedule::Overlapped));
+  const pipeline::Router router(f.rules, storm_options(f));
   const pipeline::BoardRoute full = router.route_board(f.layout);
   std::string why;
   EXPECT_TRUE(pipeline::routes_equivalent(svc.board_layout(id), svc.board_route(id),
@@ -174,8 +166,7 @@ TEST(RoutingService, MaxBatchCapsCoalescing) {
   RoutingService svc(sopts);
   const std::string id = bs.spec.name;
   svc.add_board(id, bs.scenario.rules,
-                storm_options(bs.scenario, pipeline::DrcSchedule::Overlapped),
-                bs.scenario.layout);
+                storm_options(bs.scenario), bs.scenario.layout);
   svc.drain();
   for (std::size_t k = 0; k < 3; ++k) svc.submit(id, bs.edits.at(k));
   svc.drain();
@@ -196,8 +187,7 @@ TEST(RoutingService, EvictAndThawRoundTrip) {
   RoutingService svc(sopts);
   const std::string id = bs.spec.name;
   svc.add_board(id, bs.scenario.rules,
-                storm_options(bs.scenario, pipeline::DrcSchedule::Overlapped),
-                bs.scenario.layout);
+                storm_options(bs.scenario), bs.scenario.layout);
 
   // Not routed yet (initial route still queued): eviction refuses.
   EXPECT_FALSE(svc.evict(id));
@@ -228,8 +218,7 @@ TEST(RoutingService, EvictAndThawRoundTrip) {
   scenario::Scenario f = scenario::materialize(bs.spec.base);
   layout::apply_edit(f.layout, bs.edits.at(0));
   layout::apply_edit(f.layout, bs.edits.at(1));
-  const pipeline::Router router(
-      f.rules, storm_options(f, pipeline::DrcSchedule::Overlapped));
+  const pipeline::Router router(f.rules, storm_options(f));
   const pipeline::BoardRoute full = router.route_board(f.layout);
   std::string why;
   EXPECT_TRUE(pipeline::routes_equivalent(svc.board_layout(id), svc.board_route(id),
@@ -247,8 +236,7 @@ TEST(RoutingService, FailedEditSurfacesAtDrainWithoutWedgingTheBoard) {
   RoutingService svc(sopts);
   const std::string id = bs.spec.name;
   svc.add_board(id, bs.scenario.rules,
-                storm_options(bs.scenario, pipeline::DrcSchedule::Overlapped),
-                bs.scenario.layout);
+                storm_options(bs.scenario), bs.scenario.layout);
   svc.drain();
 
   layout::BoardEdit bogus;
@@ -279,8 +267,7 @@ TEST(RoutingService, FailedEditSurfacesAtDrainWithoutWedgingTheBoard) {
 
   scenario::Scenario f = scenario::materialize(bs.spec.base);
   layout::apply_edit(f.layout, bs.edits.at(0));
-  const pipeline::Router router(
-      f.rules, storm_options(f, pipeline::DrcSchedule::Overlapped));
+  const pipeline::Router router(f.rules, storm_options(f));
   const pipeline::BoardRoute full = router.route_board(f.layout);
   std::string why;
   EXPECT_TRUE(pipeline::routes_equivalent(svc.board_layout(id), svc.board_route(id),
@@ -297,10 +284,9 @@ TEST(RoutingService, DuplicateAndUnknownBoardIdsThrow) {
   sopts.threads = 1;
   RoutingService svc(sopts);
   svc.add_board(bs.spec.name, bs.scenario.rules,
-                storm_options(bs.scenario, pipeline::DrcSchedule::Overlapped),
-                bs.scenario.layout);
+                storm_options(bs.scenario), bs.scenario.layout);
   EXPECT_THROW(svc.add_board(bs.spec.name, bs.scenario.rules,
-                             storm_options(bs.scenario, pipeline::DrcSchedule::Overlapped),
+                             storm_options(bs.scenario),
                              bs.scenario.layout),
                std::invalid_argument);
   EXPECT_THROW(svc.submit("no-such-board", bs.edits.at(0)), std::out_of_range);
@@ -311,7 +297,7 @@ TEST(RoutingService, DuplicateAndUnknownBoardIdsThrow) {
 TEST(RoutingService, SharedStreamStressWithConcurrentSubmitters) {
   // Thread-safety smoke for TSAN: several boards replayed with submits
   // racing the dispatches on a multi-worker pool, then the oracle on one
-  // board (the full oracle matrix lives in the schedule test above).
+  // board (the full oracle matrix lives in the storm test above).
   const scenario::ServiceStormCase c = scenario::service_storm_cases(true).at(0);
   scenario::ServiceStorm storm = scenario::materialize_service_storm(c);
 
@@ -320,8 +306,7 @@ TEST(RoutingService, SharedStreamStressWithConcurrentSubmitters) {
   RoutingService svc(sopts);
   for (const scenario::EditStorm& bs : storm.boards) {
     svc.add_board(bs.spec.name, bs.scenario.rules,
-                  storm_options(bs.scenario, pipeline::DrcSchedule::Overlapped),
-                  bs.scenario.layout);
+                  storm_options(bs.scenario), bs.scenario.layout);
   }
   // No initial drain: submits race the initial routes — every edit must
   // queue behind its board's route instead of throwing.
@@ -335,8 +320,7 @@ TEST(RoutingService, SharedStreamStressWithConcurrentSubmitters) {
   const scenario::EditStorm& bs = storm.boards.at(0);
   scenario::Scenario f = scenario::materialize(bs.spec.base);
   for (const layout::BoardEdit& e : bs.edits) layout::apply_edit(f.layout, e);
-  const pipeline::Router router(
-      f.rules, storm_options(f, pipeline::DrcSchedule::Overlapped));
+  const pipeline::Router router(f.rules, storm_options(f));
   const pipeline::BoardRoute full = router.route_board(f.layout);
   std::string why;
   EXPECT_TRUE(pipeline::routes_equivalent(svc.board_layout(bs.spec.name),
@@ -361,8 +345,7 @@ TEST(RoutingService, RetryRecoversFromInjectedFault) {
   sopts.fault_plan = plan;
   RoutingService svc(sopts);
   svc.add_board(id, bs.scenario.rules,
-                storm_options(bs.scenario, pipeline::DrcSchedule::Overlapped),
-                bs.scenario.layout);
+                storm_options(bs.scenario), bs.scenario.layout);
   svc.drain();
   svc.submit(id, bs.edits.at(0));
   EXPECT_NO_THROW(svc.drain());  // transient, recovered: nothing surfaces
@@ -378,8 +361,7 @@ TEST(RoutingService, RetryRecoversFromInjectedFault) {
 
   scenario::Scenario f = scenario::materialize(bs.spec.base);
   layout::apply_edit(f.layout, bs.edits.at(0));
-  const pipeline::Router router(
-      f.rules, storm_options(f, pipeline::DrcSchedule::Overlapped));
+  const pipeline::Router router(f.rules, storm_options(f));
   const pipeline::BoardRoute full = router.route_board(f.layout);
   std::string why;
   EXPECT_TRUE(pipeline::routes_equivalent(svc.board_layout(id), svc.board_route(id),
@@ -406,8 +388,7 @@ TEST(RoutingService, QuarantineRevertsToLastGoodAndResurrectReplays) {
   sopts.fault_plan = plan;
   RoutingService svc(sopts);
   svc.add_board(id, bs.scenario.rules,
-                storm_options(bs.scenario, pipeline::DrcSchedule::Overlapped),
-                bs.scenario.layout);
+                storm_options(bs.scenario), bs.scenario.layout);
   svc.drain();
   svc.submit(id, bs.edits.at(0));
   svc.drain();
@@ -430,8 +411,7 @@ TEST(RoutingService, QuarantineRevertsToLastGoodAndResurrectReplays) {
   // after edit 0 only. Submits shed with a typed status.
   scenario::Scenario prefix = scenario::materialize(bs.spec.base);
   layout::apply_edit(prefix.layout, bs.edits.at(0));
-  const pipeline::Router router(
-      prefix.rules, storm_options(prefix, pipeline::DrcSchedule::Overlapped));
+  const pipeline::Router router(prefix.rules, storm_options(prefix));
   const pipeline::BoardRoute prefix_route = router.route_board(prefix.layout);
   std::string why;
   EXPECT_TRUE(pipeline::routes_equivalent(svc.board_layout(id), svc.board_route(id),
@@ -485,8 +465,7 @@ TEST(RoutingService, RequarantineAfterResurrectKeepsLastGoodSnapshot) {
   sopts.fault_plan = plan;
   RoutingService svc(sopts);
   svc.add_board(id, bs.scenario.rules,
-                storm_options(bs.scenario, pipeline::DrcSchedule::Overlapped),
-                bs.scenario.layout);
+                storm_options(bs.scenario), bs.scenario.layout);
   svc.drain();
   svc.submit(id, bs.edits.at(0));
   svc.drain();  // success: the last-good checkpoint is the board after edit 0
@@ -510,8 +489,7 @@ TEST(RoutingService, RequarantineAfterResurrectKeepsLastGoodSnapshot) {
   // The serving state is still the after-edit-0 checkpoint.
   scenario::Scenario prefix = scenario::materialize(bs.spec.base);
   layout::apply_edit(prefix.layout, bs.edits.at(0));
-  const pipeline::Router router(
-      prefix.rules, storm_options(prefix, pipeline::DrcSchedule::Overlapped));
+  const pipeline::Router router(prefix.rules, storm_options(prefix));
   const pipeline::BoardRoute prefix_route = router.route_board(prefix.layout);
   std::string why;
   EXPECT_TRUE(pipeline::routes_equivalent(svc.board_layout(id), svc.board_route(id),
@@ -550,8 +528,7 @@ TEST(RoutingService, InitialRouteFaultQuarantinesAndResurrectRecovers) {
   sopts.fault_plan = plan;
   RoutingService svc(sopts);
   svc.add_board(id, bs.scenario.rules,
-                storm_options(bs.scenario, pipeline::DrcSchedule::Overlapped),
-                bs.scenario.layout);
+                storm_options(bs.scenario), bs.scenario.layout);
   EXPECT_THROW(svc.drain(), ServiceError);
   EXPECT_TRUE(svc.is_quarantined(id));
   EXPECT_FALSE(svc.is_routed(id));
@@ -573,8 +550,7 @@ TEST(RoutingService, InitialRouteFaultQuarantinesAndResurrectRecovers) {
 
   scenario::Scenario f = scenario::materialize(bs.spec.base);
   layout::apply_edit(f.layout, bs.edits.at(0));
-  const pipeline::Router router(
-      f.rules, storm_options(f, pipeline::DrcSchedule::Overlapped));
+  const pipeline::Router router(f.rules, storm_options(f));
   const pipeline::BoardRoute full = router.route_board(f.layout);
   std::string why;
   EXPECT_TRUE(pipeline::routes_equivalent(svc.board_layout(id), svc.board_route(id),
@@ -594,8 +570,7 @@ TEST(RoutingService, QueueLimitShedsWithTypedStatus) {
   sopts.queue_limit = 2;
   RoutingService svc(sopts);
   svc.add_board(id, bs.scenario.rules,
-                storm_options(bs.scenario, pipeline::DrcSchedule::Overlapped),
-                bs.scenario.layout);
+                storm_options(bs.scenario), bs.scenario.layout);
   svc.drain();
 
   EXPECT_TRUE(svc.submit(id, bs.edits.at(0)).accepted());
@@ -617,8 +592,7 @@ TEST(RoutingService, QueueLimitShedsWithTypedStatus) {
 
   scenario::Scenario f = scenario::materialize(bs.spec.base);
   for (std::size_t k = 0; k < 3; ++k) layout::apply_edit(f.layout, bs.edits.at(k));
-  const pipeline::Router router(
-      f.rules, storm_options(f, pipeline::DrcSchedule::Overlapped));
+  const pipeline::Router router(f.rules, storm_options(f));
   const pipeline::BoardRoute full = router.route_board(f.layout);
   std::string why;
   EXPECT_TRUE(pipeline::routes_equivalent(svc.board_layout(id), svc.board_route(id),
@@ -637,8 +611,7 @@ TEST(RoutingService, DrainAggregatesEveryFailedBoard) {
   for (std::size_t b = 0; b < 2; ++b) {
     const scenario::EditStorm& bs = storm.boards.at(b);
     svc.add_board(bs.spec.name, bs.scenario.rules,
-                  storm_options(bs.scenario, pipeline::DrcSchedule::Overlapped),
-                  bs.scenario.layout);
+                  storm_options(bs.scenario), bs.scenario.layout);
   }
   svc.drain();
 
@@ -675,8 +648,7 @@ TEST(RoutingService, DeadlineTimeoutsWalkTheLadderIntoQuarantine) {
 
   // An impossible per-group budget: every attempt (degraded included)
   // times out deterministically at the first stage-boundary poll.
-  pipeline::RouterOptions ropts =
-      storm_options(bs.scenario, pipeline::DrcSchedule::Overlapped);
+  pipeline::RouterOptions ropts = storm_options(bs.scenario);
   ropts.deadline_s = 1e-12;
 
   ServiceOptions sopts;
@@ -722,8 +694,7 @@ TEST(RoutingService, EvictionRacingFaultingPumpsStaysConsistent) {
     RoutingService svc(sopts);
     for (const scenario::EditStorm& bs : storm.boards) {
       svc.add_board(bs.spec.name, bs.scenario.rules,
-                    storm_options(bs.scenario, pipeline::DrcSchedule::Overlapped),
-                    bs.scenario.layout);
+                    storm_options(bs.scenario), bs.scenario.layout);
     }
     for (std::size_t e = 0; e < storm.stream.size(); ++e) {
       const scenario::ServiceStormEvent& ev = storm.stream[e];
@@ -741,8 +712,7 @@ TEST(RoutingService, EvictionRacingFaultingPumpsStaysConsistent) {
       const scenario::EditStorm& bs = storm.boards[b];
       scenario::Scenario f = scenario::materialize(bs.spec.base);
       for (const layout::BoardEdit& e : bs.edits) layout::apply_edit(f.layout, e);
-      const pipeline::Router router(
-          f.rules, storm_options(f, pipeline::DrcSchedule::Overlapped));
+      const pipeline::Router router(f.rules, storm_options(f));
       const pipeline::BoardRoute full = router.route_board(f.layout);
       std::string why;
       EXPECT_TRUE(pipeline::routes_equivalent(svc.board_layout(bs.spec.name),
