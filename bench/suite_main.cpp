@@ -3,13 +3,15 @@
 /// tracked results file (see EXPERIMENTS.md "Benchmark suite").
 ///
 ///   bench_suite [--smoke] [--out PATH] [--family NAME]... [--threads N]
-///               [--no-drc] [--scaling] [--edit-storm] [--list]
+///               [--no-drc] [--scaling] [--edit-storm] [--service]
+///               [--fault-storm] [--seed N] [--list]
+///   bench_suite --compare A B
 ///
 /// Exit code 0 when every case is ok (matched where expected, DRC-clean).
-/// `--scaling` additionally sweeps thread counts over the parallelism
-/// workloads (`large_group`, `multi_group`, `mega_board`) and attaches the
-/// speedup curve to the result document under `"scaling"` (volatile:
-/// timing-only);
+/// Timings, run context and the sections below land under the document's
+/// one volatile member (report.hpp). `--scaling` additionally sweeps thread
+/// counts over the parallelism workloads (`large_group`, `multi_group`,
+/// `mega_board`) and attaches the speedup curve under `"scaling"`;
 /// `--edit-storm` replays the seeded edit scripts on live sessions under
 /// `"edit_storm"` and *fails the run* unless every incremental end state is
 /// bit-identical to a fresh route of the edited board; `--service` replays
@@ -21,10 +23,13 @@
 /// counts under `"fault_storm"` and fails unless every board converges to
 /// the fault-free end state and each storm's fault gates fired
 /// (`--seed N` re-seeds the rule synthesis for reproduction).
+/// `--compare A B` exits 0 when two result files are equal without their
+/// volatile member, 1 when they differ and 2 when one cannot be read.
 
+#include <charconv>
+#include <cinttypes>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -39,6 +44,7 @@ void usage(const char* argv0) {
       "usage: %s [--smoke] [--out PATH] [--family NAME]... [--threads N] [--no-drc] "
       "[--scaling] [--edit-storm] [--service] [--fault-storm] "
       "[--seed N] [--list]\n"
+      "       %s --compare A B\n"
       "  --smoke        tiny per-family variants (CI-sized seeds)\n"
       "  --out PATH     results file (default BENCH_results.json)\n"
       "  --family NAME  run only this family (repeatable; default all)\n"
@@ -56,8 +62,76 @@ void usage(const char* argv0) {
       "                 unless every board converges to the fault-free end state\n"
       "                 and each storm's fault gates fired\n"
       "  --seed N       re-seed the fault-storm rule synthesis (reproduction)\n"
-      "  --list         print family names and exit\n",
-      argv0);
+      "  --list         print family names and exit\n"
+      "  --compare A B  exit 0 if two result files are equal without their\n"
+      "                 volatile member, 1 if they differ, 2 if unreadable\n",
+      argv0, argv0);
+}
+
+/// Parse all of `text` as a decimal count into `out`; on a sign, a
+/// trailing character, an empty string or overflow, say so and fail.
+template <class T>
+bool parse_count(const char* flag, const char* text, T& out) {
+  const char* end = text + std::strlen(text);
+  const auto [ptr, ec] = std::from_chars(text, end, out);
+  if (ec == std::errc{} && ptr == end) return true;
+  std::fprintf(stderr, "%s wants a non-negative integer, got '%s'\n", flag, text);
+  return false;
+}
+
+int compare(const char* a, const char* b) {
+  try {
+    if (lmr::bench::strip_volatile(lmr::bench::read_json_file(a)) ==
+        lmr::bench::strip_volatile(lmr::bench::read_json_file(b))) {
+      std::printf("stripped documents identical\n");
+      return 0;
+    }
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "compare failed: %s\n", e.what());
+    return 2;
+  }
+  std::fprintf(stderr, "stripped documents differ: %s vs %s\n", a, b);
+  return 1;
+}
+
+/// Print one storm table, report every missed gate or failed board on
+/// stderr, and file the storms as `key` under the document's volatile
+/// member. Returns true when every point of every storm is ok.
+bool report_storms(lmr::bench::Json& doc, const char* key, const char* title,
+                   const std::vector<lmr::bench::StormOutcome>& storms) {
+  std::printf("\n%s:\n", title);
+  std::printf("%-28s %-7s %-9s %-9s %-7s %-6s %-5s %-7s %-6s %-6s %-4s %-5s %-4s %-4s %-3s\n",
+              "storm", "threads", "replay[s]", "edits/s", "batches", "coalsc", "thaws",
+              "retries", "faults", "tmouts", "quar", "resur", "drop", "gate", "eq");
+  bool ok = true;
+  for (const lmr::bench::StormOutcome& s : storms) {
+    for (const lmr::bench::StormPoint& p : s.points) {
+      const lmr::service::ServiceTotals& t = p.totals;
+      std::printf("%-28s %-7zu %-9.3f %-9.1f %-7" PRIu64 " %-6" PRIu64 " %-5" PRIu64
+                  " %-7" PRIu64 " %-6" PRIu64 " %-6" PRIu64 " %-4" PRIu64 " %-5" PRIu64
+                  " %-4" PRIu64 " %-4s %-3s\n",
+                  s.name.c_str(), p.threads, p.replay_s, p.edits_per_s, t.batches,
+                  t.coalesced_batches, t.thaws, t.retries, t.injected_faults, t.timeouts,
+                  t.quarantines, t.resurrections, t.dropped_edits, p.gates_ok ? "yes" : "NO",
+                  p.all_equivalent ? "yes" : "NO");
+      if (!p.gates_ok) {
+        std::fprintf(stderr, "%s storm %s @%zu threads: gates missed\n", s.kind.c_str(),
+                     s.name.c_str(), p.threads);
+        ok = false;
+      }
+      for (const lmr::bench::StormBoard& b : p.boards) {
+        if (b.ok()) continue;
+        std::fprintf(stderr, "%s storm %s @%zu threads: board %s %s%s%s: %s\n",
+                     s.kind.c_str(), s.name.c_str(), p.threads, b.board.c_str(),
+                     b.equivalent ? "" : "NOT equivalent ",
+                     b.prefix_equivalent ? "" : "prefix mismatch ",
+                     b.recovered ? "" : "NOT recovered", b.mismatch.c_str());
+        ok = false;
+      }
+    }
+  }
+  doc[lmr::bench::kVolatile][key] = lmr::bench::Suite::storm_json(storms);
+  return ok;
 }
 
 }  // namespace
@@ -84,7 +158,9 @@ int main(int argc, char** argv) {
     } else if (arg == "--fault-storm") {
       fault_storm = true;
     } else if (arg == "--seed" && i + 1 < argc) {
-      fault_seed = std::strtoull(argv[++i], nullptr, 10);
+      if (!parse_count("--seed", argv[++i], fault_seed)) return 2;
+    } else if (arg == "--compare" && i + 2 < argc) {
+      return compare(argv[i + 1], argv[i + 2]);
     } else if (arg == "--no-drc") {
       opts.run_drc = false;
     } else if (arg == "--list") {
@@ -97,7 +173,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--family" && i + 1 < argc) {
       opts.families.emplace_back(argv[++i]);
     } else if (arg == "--threads" && i + 1 < argc) {
-      opts.threads = static_cast<std::size_t>(std::strtoul(argv[++i], nullptr, 10));
+      if (!parse_count("--threads", argv[++i], opts.threads)) return 2;
     } else if (arg == "--help" || arg == "-h") {
       usage(argv[0]);
       return 0;
@@ -139,8 +215,8 @@ int main(int argc, char** argv) {
 
   lmr::bench::Json doc = lmr::bench::Suite::to_json(result, opts);
 
+  const std::vector<std::size_t> counts = lmr::bench::Suite::default_scaling_threads();
   if (scaling) {
-    const std::vector<std::size_t> counts = lmr::bench::Suite::default_scaling_threads();
     std::vector<lmr::bench::ScalingCurve> curves;
     try {
       curves = lmr::bench::Suite::run_scaling(
@@ -157,7 +233,7 @@ int main(int argc, char** argv) {
                     p.runtime_s, p.speedup);
       }
     }
-    doc["scaling"] = lmr::bench::Suite::scaling_json(curves);
+    doc[lmr::bench::kVolatile]["scaling"] = lmr::bench::Suite::scaling_json(curves);
   }
 
   bool storms_ok = true;
@@ -183,84 +259,25 @@ int main(int argc, char** argv) {
         storms_ok = false;
       }
     }
-    doc["edit_storm"] = lmr::bench::Suite::edit_storm_json(storms);
+    doc[lmr::bench::kVolatile]["edit_storm"] = lmr::bench::Suite::edit_storm_json(storms);
   }
 
-  if (service) {
-    std::vector<lmr::bench::ServiceStormOutcome> storms;
-    try {
-      storms = suite.run_service(lmr::bench::Suite::default_scaling_threads());
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "service replay failed: %s\n", e.what());
-      return 2;
+  try {
+    if (service) {
+      storms_ok = report_storms(doc, "service",
+                                "service storms (multi-board replay through RoutingService)",
+                                suite.run_service(counts)) &&
+                  storms_ok;
     }
-    std::printf("\nservice storms (multi-board replay through RoutingService):\n");
-    std::printf("%-24s %-8s %-8s %-10s %-10s %-8s %-8s %-7s %-6s %-5s\n", "storm",
-                "threads", "events", "replay[s]", "edits/s", "batches", "coalsc",
-                "maxq", "thaws", "eq");
-    for (const lmr::bench::ServiceStormOutcome& s : storms) {
-      for (const lmr::bench::ServiceThreadPoint& p : s.points) {
-        std::printf("%-24s %-8zu %-8zu %-10.3f %-10.1f %-8llu %-8llu %-7llu %-6llu %-5s\n",
-                    s.name.c_str(), p.threads, s.events, p.replay_s, p.edits_per_s,
-                    static_cast<unsigned long long>(p.batches),
-                    static_cast<unsigned long long>(p.coalesced_batches),
-                    static_cast<unsigned long long>(p.max_queue_depth),
-                    static_cast<unsigned long long>(p.thaws),
-                    p.all_equivalent ? "yes" : "NO");
-        for (const lmr::bench::ServiceBoardOutcome& b : p.boards) {
-          if (b.equivalent) continue;
-          std::fprintf(stderr,
-                       "service storm %s @%zu threads: board %s NOT equivalent: %s\n",
-                       s.name.c_str(), p.threads, b.board.c_str(), b.mismatch.c_str());
-          storms_ok = false;
-        }
-      }
+    if (fault_storm) {
+      storms_ok = report_storms(doc, "fault_storm",
+                                "fault storms (fault-injected replay through RoutingService)",
+                                suite.run_fault_storm(counts, fault_seed)) &&
+                  storms_ok;
     }
-    doc["service"] = lmr::bench::Suite::service_json(storms);
-  }
-
-  if (fault_storm) {
-    std::vector<lmr::bench::FaultStormOutcome> storms;
-    try {
-      storms = suite.run_fault_storm(lmr::bench::Suite::default_scaling_threads(),
-                                     fault_seed);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "fault-storm replay failed: %s\n", e.what());
-      return 2;
-    }
-    std::printf("\nfault storms (fault-injected replay through RoutingService):\n");
-    std::printf("%-28s %-8s %-8s %-8s %-8s %-6s %-6s %-6s %-5s %-5s\n", "storm",
-                "threads", "retries", "tmouts", "faults", "quar", "resur", "drop",
-                "gate", "eq");
-    for (const lmr::bench::FaultStormOutcome& s : storms) {
-      for (const lmr::bench::FaultThreadPoint& p : s.points) {
-        std::printf("%-28s %-8zu %-8llu %-8llu %-8llu %-6llu %-6llu %-6llu %-5s %-5s\n",
-                    s.name.c_str(), p.threads,
-                    static_cast<unsigned long long>(p.retries),
-                    static_cast<unsigned long long>(p.timeouts),
-                    static_cast<unsigned long long>(p.injected_faults),
-                    static_cast<unsigned long long>(p.quarantines),
-                    static_cast<unsigned long long>(p.resurrections),
-                    static_cast<unsigned long long>(p.dropped_edits),
-                    p.gates_ok ? "yes" : "NO", p.all_equivalent ? "yes" : "NO");
-        if (!p.gates_ok) {
-          std::fprintf(stderr, "fault storm %s @%zu threads: fault gates missed\n",
-                       s.name.c_str(), p.threads);
-          storms_ok = false;
-        }
-        for (const lmr::bench::FaultBoardOutcome& b : p.boards) {
-          if (b.equivalent && b.prefix_equivalent && b.recovered) continue;
-          std::fprintf(stderr,
-                       "fault storm %s @%zu threads: board %s %s%s%s: %s\n",
-                       s.name.c_str(), p.threads, b.board.c_str(),
-                       b.equivalent ? "" : "NOT equivalent ",
-                       b.prefix_equivalent ? "" : "prefix mismatch ",
-                       b.recovered ? "" : "NOT recovered", b.mismatch.c_str());
-          storms_ok = false;
-        }
-      }
-    }
-    doc["fault_storm"] = lmr::bench::Suite::fault_storm_json(storms);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "storm replay failed: %s\n", e.what());
+    return 2;
   }
 
   const int write_rc = lmr::bench::write_results_file(out_path, doc);

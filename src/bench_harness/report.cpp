@@ -53,25 +53,9 @@ Json run_info_json(const RunInfo& info) {
 }
 
 Json strip_volatile(const Json& doc) {
-  if (doc.is_array()) {
-    Json out = Json::array();
-    for (const Json& item : doc.items()) out.push_back(strip_volatile(item));
-    return out;
-  }
-  if (doc.is_object()) {
-    Json out = Json::object();
-    for (const auto& [key, value] : doc.members()) {
-      if (key == "run" || key == "scaling" || key == "edit_storm" ||
-          key == "service" || key == "fault_storm") {
-        continue;
-      }
-      if (key == "threads_used" || key == "pool_policy") continue;
-      if (key.size() >= 2 && key.compare(key.size() - 2, 2, "_s") == 0) continue;
-      out[key] = strip_volatile(value);
-    }
-    return out;
-  }
-  return doc;
+  Json out = doc;
+  out.erase(kVolatile);
+  return out;
 }
 
 void write_json_file(const std::string& path, const Json& doc) {

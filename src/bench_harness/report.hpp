@@ -2,25 +2,23 @@
 /// \file report.hpp
 /// Result-file conventions of the benchmark harness.
 ///
-/// Every tracked result document follows rules that make regression
-/// diffing mechanical:
-///  * all machine-dependent context lives under the top-level `"run"`
-///    object (host, OS, compiler, thread count, timestamp);
-///  * every volatile measurement key ends in `"_s"` (seconds);
-///  * parallelism context (`threads_used`, `pool_policy`) and the
-///    timing-only `"scaling"` / `"edit_storm"` / `"service"` /
-///    `"fault_storm"` sweep sections are volatile wherever they appear:
-///    routed metrics are thread-count-invariant by construction, so the
-///    executor configuration must never change the stripped bytes.
-/// `strip_volatile` removes exactly those, so two runs with the same seeds
-/// — at *any* thread counts — must produce byte-identical stripped dumps:
-/// the reproducibility check CI and the unit tests perform.
+/// Everything in a tracked result document that depends on the machine,
+/// the thread count or the clock lives under one top-level member named
+/// `kVolatile`: host and build context, the effective parallelism, every
+/// wall-clock timing and the timing-only sweep and replay sections.
+/// `strip_volatile` erases that member and nothing else, so two runs with
+/// the same seeds — at *any* thread counts — must produce byte-identical
+/// stripped dumps: the reproducibility check CI and the unit tests perform
+/// (`bench_suite --compare A B`).
 
 #include <string>
 
 #include "bench_harness/json.hpp"
 
 namespace lmr::bench {
+
+/// Name of the one top-level member that holds a document's volatile data.
+inline constexpr const char* kVolatile = "volatile";
 
 /// Machine / build context recorded with every result file.
 struct RunInfo {
@@ -38,12 +36,8 @@ struct RunInfo {
 /// `run` object for a result document.
 [[nodiscard]] Json run_info_json(const RunInfo& info);
 
-/// Deep copy with the volatile members removed — the `"run"` object, the
-/// `"scaling"`, `"edit_storm"`, `"service"` and `"fault_storm"` sections,
-/// `threads_used`/`pool_policy`,
-/// and every `*_s`-suffixed key — the deterministic view of a result
-/// document. `tools/strip_volatile.py` is the script-side twin; a unit test
-/// keeps their outputs byte-identical on the tracked results file.
+/// Copy of `doc` without its top-level `kVolatile` member — the
+/// deterministic view of a result document.
 [[nodiscard]] Json strip_volatile(const Json& doc);
 
 /// Write `doc` (pretty-printed, trailing newline) to `path`. Throws

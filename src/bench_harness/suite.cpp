@@ -52,11 +52,28 @@ Json group_json(const GroupOutcome& g) {
   j["patterns"] = static_cast<std::int64_t>(g.patterns);
   j["net_violations"] = static_cast<std::int64_t>(g.net_violations);
   j["cross_violations"] = static_cast<std::int64_t>(g.cross_violations);
-  j["runtime_s"] = g.runtime_s;
-  j["extend_runtime_s"] = g.extend_runtime_s;
-  j["drc_overlap_runtime_s"] = g.drc_overlap_runtime_s;
-  j["drc_barrier_runtime_s"] = g.drc_barrier_runtime_s;
-  j["drc_runtime_s"] = g.drc_runtime_s;
+  return j;
+}
+
+/// One entry of the volatile `timing` table: a case's wall clocks, with
+/// each group's split of its runtime.
+Json timing_json(const CaseOutcome& c) {
+  Json j = Json::object();
+  j["family"] = c.family;
+  j["scenario"] = c.scenario;
+  j["runtime_s"] = c.runtime_s;
+  Json jgroups = Json::array();
+  for (const GroupOutcome& g : c.groups) {
+    Json jg = Json::object();
+    jg["group"] = g.group;
+    jg["runtime_s"] = g.runtime_s;
+    jg["extend_runtime_s"] = g.extend_runtime_s;
+    jg["drc_overlap_runtime_s"] = g.drc_overlap_runtime_s;
+    jg["drc_barrier_runtime_s"] = g.drc_barrier_runtime_s;
+    jg["drc_runtime_s"] = g.drc_runtime_s;
+    jgroups.push_back(std::move(jg));
+  }
+  j["groups"] = std::move(jgroups);
   return j;
 }
 
@@ -129,7 +146,6 @@ CaseOutcome Suite::run_case(const scenario::Family& fam,
   outcome.traces = sc.layout.traces().size();
   outcome.pairs = sc.layout.pairs().size();
   outcome.obstacles = sc.layout.obstacles().size();
-  outcome.threads_used = exec::resolve_threads(opts_.threads);
 
   const pipeline::Router router(sc.rules, router_options_for(sc));
 
@@ -313,156 +329,9 @@ Json Suite::edit_storm_json(const std::vector<EditStormOutcome>& storms) {
   return out;
 }
 
-bool ServiceStormOutcome::all_equivalent() const {
-  return std::all_of(points.begin(), points.end(),
-                     [](const ServiceThreadPoint& p) { return p.all_equivalent; });
-}
-
-std::vector<ServiceStormOutcome> Suite::run_service(
-    const std::vector<std::size_t>& thread_counts) const {
-  std::vector<ServiceStormOutcome> outcomes;
-  for (const scenario::ServiceStormCase& c :
-       scenario::service_storm_cases(opts_.smoke)) {
-    scenario::ServiceStorm storm = scenario::materialize_service_storm(c);
-
-    ServiceStormOutcome out;
-    out.name = c.name;
-    out.boards = storm.boards.size();
-    out.events = storm.stream.size();
-
-    // Per-board stream-event counts, for the per-board readout.
-    std::vector<std::size_t> event_counts(storm.boards.size(), 0);
-    for (const scenario::ServiceStormEvent& ev : storm.stream) {
-      ++event_counts[ev.board];
-    }
-
-    // Oracle end states: regenerate each pristine board, replay its script,
-    // route it from scratch. Computed once, not per thread count — routed
-    // geometry is thread-count invariant by construction (and separately
-    // enforced by the reproducibility tests).
-    std::vector<scenario::Scenario> fresh;
-    std::vector<pipeline::BoardRoute> fresh_routes;
-    for (const scenario::EditStorm& bs : storm.boards) {
-      scenario::Scenario f = scenario::materialize(bs.spec.base);
-      for (const layout::BoardEdit& e : bs.edits) layout::apply_edit(f.layout, e);
-      const pipeline::Router router(f.rules, router_options_for(f));
-      fresh_routes.push_back(router.route_board(f.layout));
-      fresh.push_back(std::move(f));
-    }
-
-    for (const std::size_t threads : thread_counts) {
-      service::ServiceOptions sopts;
-      sopts.threads = threads;
-      service::RoutingService svc(sopts);
-      for (const scenario::EditStorm& bs : storm.boards) {
-        svc.add_board(bs.spec.name, bs.scenario.rules,
-                      scenario_router_options(bs.scenario), bs.scenario.layout);
-      }
-      svc.drain();  // initial routes settle before the replay clock starts
-
-      const auto t0 = core::now();
-      for (const scenario::ServiceStormEvent& ev : storm.stream) {
-        svc.submit(storm.boards[ev.board].spec.name, ev.edit);
-        if (ev.sync_after) svc.drain();
-        if (ev.evict_after) {
-          svc.drain();
-          svc.evict_idle();
-        }
-      }
-      svc.drain();
-      const double replay_s = seconds_since(t0);
-
-      ServiceThreadPoint p;
-      p.threads = threads;
-      p.replay_s = replay_s;
-      p.edits_per_s =
-          replay_s > 0.0 ? static_cast<double>(out.events) / replay_s : 0.0;
-      p.all_equivalent = true;
-      for (std::size_t b = 0; b < storm.boards.size(); ++b) {
-        const std::string& id = storm.boards[b].spec.name;
-        const service::BoardStats st = svc.stats(id);
-        ServiceBoardOutcome bo;
-        bo.board = id;
-        bo.edits = event_counts[b];
-        bo.applied = st.applied;
-        bo.batches = st.batches;
-        bo.coalesced_batches = st.coalesced_batches;
-        bo.max_batch = st.max_batch;
-        bo.max_queue_depth = st.max_queue_depth;
-        bo.queued_while_frozen = st.queued_while_frozen;
-        bo.evictions = st.evictions;
-        bo.thaws = st.thaws;
-        bo.equivalent =
-            pipeline::routes_equivalent(svc.board_layout(id), svc.board_route(id),
-                                        fresh[b].layout, fresh_routes[b], &bo.mismatch);
-        p.all_equivalent = p.all_equivalent && bo.equivalent;
-        p.batches += bo.batches;
-        p.coalesced_batches += bo.coalesced_batches;
-        p.max_batch = std::max(p.max_batch, bo.max_batch);
-        p.max_queue_depth = std::max(p.max_queue_depth, bo.max_queue_depth);
-        p.queued_while_frozen += bo.queued_while_frozen;
-        p.evictions += bo.evictions;
-        p.thaws += bo.thaws;
-        p.boards.push_back(std::move(bo));
-      }
-      out.points.push_back(std::move(p));
-    }
-    outcomes.push_back(std::move(out));
-  }
-  return outcomes;
-}
-
-Json Suite::service_json(const std::vector<ServiceStormOutcome>& storms) {
-  Json out = Json::array();
-  for (const ServiceStormOutcome& s : storms) {
-    Json js = Json::object();
-    js["name"] = s.name;
-    js["boards"] = static_cast<std::int64_t>(s.boards);
-    js["events"] = static_cast<std::int64_t>(s.events);
-    js["all_equivalent"] = s.all_equivalent();
-    Json jpoints = Json::array();
-    for (const ServiceThreadPoint& p : s.points) {
-      Json jp = Json::object();
-      jp["threads"] = static_cast<std::int64_t>(p.threads);
-      jp["replay_s"] = p.replay_s;
-      jp["edits_per_s"] = p.edits_per_s;
-      jp["batches"] = static_cast<std::int64_t>(p.batches);
-      jp["coalesced_batches"] = static_cast<std::int64_t>(p.coalesced_batches);
-      jp["max_batch"] = static_cast<std::int64_t>(p.max_batch);
-      jp["max_queue_depth"] = static_cast<std::int64_t>(p.max_queue_depth);
-      jp["queued_while_frozen"] = static_cast<std::int64_t>(p.queued_while_frozen);
-      jp["evictions"] = static_cast<std::int64_t>(p.evictions);
-      jp["thaws"] = static_cast<std::int64_t>(p.thaws);
-      jp["all_equivalent"] = p.all_equivalent;
-      Json jboards = Json::array();
-      for (const ServiceBoardOutcome& b : p.boards) {
-        Json jb = Json::object();
-        jb["board"] = b.board;
-        jb["edits"] = static_cast<std::int64_t>(b.edits);
-        jb["applied"] = static_cast<std::int64_t>(b.applied);
-        jb["batches"] = static_cast<std::int64_t>(b.batches);
-        jb["coalesced_batches"] = static_cast<std::int64_t>(b.coalesced_batches);
-        jb["max_batch"] = static_cast<std::int64_t>(b.max_batch);
-        jb["max_queue_depth"] = static_cast<std::int64_t>(b.max_queue_depth);
-        jb["queued_while_frozen"] = static_cast<std::int64_t>(b.queued_while_frozen);
-        jb["evictions"] = static_cast<std::int64_t>(b.evictions);
-        jb["thaws"] = static_cast<std::int64_t>(b.thaws);
-        jb["equivalent"] = b.equivalent;
-        if (!b.equivalent) jb["mismatch"] = b.mismatch;
-        jboards.push_back(std::move(jb));
-      }
-      jp["boards"] = std::move(jboards);
-      jpoints.push_back(std::move(jp));
-    }
-    js["points"] = std::move(jpoints);
-    out.push_back(std::move(js));
-  }
-  return out;
-}
-
-bool FaultStormOutcome::all_ok() const {
+bool StormOutcome::all_ok() const {
   return !points.empty() &&
-         std::all_of(points.begin(), points.end(), [](const FaultThreadPoint& p) {
+         std::all_of(points.begin(), points.end(), [](const StormPoint& p) {
            return p.all_equivalent && p.gates_ok;
          });
 }
@@ -478,169 +347,214 @@ const char* fault_kind_name(scenario::FaultStormKind k) {
   return "unknown";
 }
 
+/// The counters BoardStats and ServiceTotals share, under the same names.
+template <class Counters>
+Json counters_json(const Counters& c) {
+  Json j = Json::object();
+  j["submitted"] = c.submitted;
+  j["applied"] = c.applied;
+  j["batches"] = c.batches;
+  j["coalesced_batches"] = c.coalesced_batches;
+  j["max_batch"] = c.max_batch;
+  j["max_queue_depth"] = c.max_queue_depth;
+  j["evictions"] = c.evictions;
+  j["thaws"] = c.thaws;
+  j["queued_while_frozen"] = c.queued_while_frozen;
+  j["retries"] = c.retries;
+  j["timeouts"] = c.timeouts;
+  j["injected_faults"] = c.injected_faults;
+  j["quarantines"] = c.quarantines;
+  j["resurrections"] = c.resurrections;
+  j["shed"] = c.shed;
+  j["dropped_edits"] = c.dropped_edits;
+  return j;
+}
+
+/// A board's stats: the shared counters, then the fields only BoardStats has.
+Json stats_json(const service::BoardStats& s) {
+  Json j = counters_json(s);
+  j["reroutes"] = s.reroutes;
+  j["degraded_retries"] = s.degraded_retries;
+  j["clearance_violations"] = s.clearance_violations;
+  j["backoff_virtual_s"] = s.backoff_virtual_s;
+  j["route_s"] = s.route_s;
+  j["apply_s"] = s.apply_s;
+  j["dispatch_wait_s"] = s.dispatch_wait_s;
+  j["max_dispatch_wait_s"] = s.max_dispatch_wait_s;
+  return j;
+}
+
 }  // namespace
 
-std::vector<FaultStormOutcome> Suite::run_fault_storm(
-    const std::vector<std::size_t>& thread_counts,
-    std::uint64_t seed_override) const {
-  std::vector<FaultStormOutcome> outcomes;
-  for (const scenario::FaultStormCase& c :
-       scenario::fault_storm_cases(opts_.smoke, seed_override)) {
-    const scenario::FaultStorm storm = scenario::materialize_fault_storm(c);
+StormOutcome Suite::replay(const scenario::FaultStorm& storm,
+                           std::optional<scenario::FaultStormKind> kind,
+                           const std::vector<std::size_t>& thread_counts) const {
+  const scenario::FaultStormCase& c = storm.spec;
+  const std::vector<scenario::EditStorm>& boards = storm.storm.boards;
+  StormOutcome out;
+  out.name = c.name;
+  out.kind = kind ? fault_kind_name(*kind) : "service";
+  out.fault_seed = c.fault_seed;
+  out.boards = boards.size();
+  out.events = storm.storm.stream.size();
+  out.rules = storm.rules.size();
 
-    FaultStormOutcome out;
-    out.name = c.name;
-    out.kind = fault_kind_name(c.kind);
-    out.fault_seed = c.fault_seed;
-    out.boards = storm.storm.boards.size();
-    out.events = storm.storm.stream.size();
-    out.rules = storm.rules.size();
+  // Full-script oracles, once per board — routed geometry is thread-count
+  // invariant, and the fault plane must not change where a board *ends up*,
+  // only which attempts it loses on the way.
+  std::vector<scenario::Scenario> fresh;
+  std::vector<pipeline::BoardRoute> fresh_routes;
+  for (const scenario::EditStorm& bs : boards) {
+    scenario::Scenario f = scenario::materialize(bs.spec.base);
+    for (const layout::BoardEdit& e : bs.edits) layout::apply_edit(f.layout, e);
+    const pipeline::Router router(f.rules, router_options_for(f));
+    fresh_routes.push_back(router.route_board(f.layout));
+    fresh.push_back(std::move(f));
+  }
 
-    // Full-script oracles, once per board — routed geometry is thread-count
-    // invariant, and the fault plane must not change where a board *ends up*,
-    // only which attempts it loses on the way.
-    std::vector<scenario::Scenario> fresh;
-    std::vector<pipeline::BoardRoute> fresh_routes;
-    for (const scenario::EditStorm& bs : storm.storm.boards) {
-      scenario::Scenario f = scenario::materialize(bs.spec.base);
-      for (const layout::BoardEdit& e : bs.edits) layout::apply_edit(f.layout, e);
-      const pipeline::Router router(f.rules, router_options_for(f));
-      fresh_routes.push_back(router.route_board(f.layout));
-      fresh.push_back(std::move(f));
+  for (const std::size_t threads : thread_counts) {
+    // A FRESH plan per replay: occurrence counters are plan state, so a
+    // shared instance would shift every window on the second replay.
+    service::ServiceOptions sopts;
+    sopts.threads = threads;
+    sopts.max_attempts = c.max_attempts;
+    sopts.fault_plan = std::make_shared<fault::FaultPlan>(storm.rules);
+    service::RoutingService svc(sopts);
+    for (std::size_t b = 0; b < boards.size(); ++b) {
+      const scenario::EditStorm& bs = boards[b];
+      pipeline::RouterOptions ropts = scenario_router_options(bs.scenario);
+      if (b == storm.timeout_board) ropts.deadline_s = c.deadline_s;
+      svc.add_board(bs.spec.name, bs.scenario.rules, ropts, bs.scenario.layout);
     }
 
-    for (const std::size_t threads : thread_counts) {
-      // A FRESH plan per replay: occurrence counters are plan state, so a
-      // shared instance would shift every window on the second replay.
-      service::ServiceOptions sopts;
-      sopts.threads = threads;
-      sopts.max_attempts = c.max_attempts;
-      sopts.fault_plan = std::make_shared<fault::FaultPlan>(storm.rules);
-      service::RoutingService svc(sopts);
-      for (std::size_t b = 0; b < storm.storm.boards.size(); ++b) {
-        const scenario::EditStorm& bs = storm.storm.boards[b];
-        pipeline::RouterOptions ropts = scenario_router_options(bs.scenario);
-        if (b == storm.timeout_board) ropts.deadline_s = c.deadline_s;
-        svc.add_board(bs.spec.name, bs.scenario.rules, ropts, bs.scenario.layout);
+    StormPoint p;
+    p.threads = threads;
+    const auto drain = [&svc, &p] {
+      try {
+        svc.drain();
+        return true;
+      } catch (const service::ServiceError& e) {
+        p.drain_failures += e.failures().size();
+        return false;
       }
+    };
 
-      FaultThreadPoint p;
-      p.threads = threads;
-      const auto drain = [&svc, &p] {
-        try {
-          svc.drain();
-        } catch (const service::ServiceError& e) {
-          p.drain_failures += e.failures().size();
+    drain();  // initial routes settle; initial-route kills surface here
+    const auto t0 = core::now();
+    for (const scenario::ServiceStormEvent& ev : storm.storm.stream) {
+      (void)svc.submit(boards[ev.board].spec.name, ev.edit);
+      if (ev.sync_after) drain();
+      if (ev.evict_after) {
+        drain();
+        svc.evict_idle();
+      }
+    }
+    drain();
+    p.replay_s = seconds_since(t0);
+    p.edits_per_s = p.replay_s > 0.0 ? static_cast<double>(out.events) / p.replay_s : 0.0;
+
+    p.all_equivalent = true;
+    for (std::size_t b = 0; b < boards.size(); ++b) {
+      const scenario::EditStorm& bs = boards[b];
+      const std::string& id = bs.spec.name;
+      StormBoard bo;
+      bo.board = id;
+      bo.edits = bs.edits.size();
+      bo.applied_at_drain = svc.stats(id).applied;
+      bo.quarantined = svc.is_quarantined(id);
+
+      if (bo.quarantined) {
+        // A quarantined routed board must serve its last-good state: a
+        // fresh route of exactly the edits it committed. A board killed
+        // during its initial route serves nothing — skip straight to
+        // recovery.
+        if (svc.is_routed(id)) {
+          scenario::Scenario pre = scenario::materialize(bs.spec.base);
+          for (std::uint64_t k = 0; k < bo.applied_at_drain; ++k) {
+            layout::apply_edit(pre.layout, bs.edits.at(k));
+          }
+          const pipeline::Router router(pre.rules, router_options_for(pre));
+          const pipeline::BoardRoute pre_route = router.route_board(pre.layout);
+          bo.prefix_equivalent = pipeline::routes_equivalent(
+              svc.board_layout(id), svc.board_route(id), pre.layout, pre_route,
+              &bo.mismatch);
         }
-      };
-
-      drain();  // initial routes settle; initial-route kills surface here
-      const auto t0 = core::now();
-      for (const scenario::ServiceStormEvent& ev : storm.storm.stream) {
-        (void)svc.submit(storm.storm.boards[ev.board].spec.name, ev.edit);
-        if (ev.sync_after) drain();
-      }
-      drain();
-      p.replay_s = seconds_since(t0);
-
-      p.all_equivalent = true;
-      std::size_t quarantine_targets_hit = 0;
-      for (std::size_t b = 0; b < storm.storm.boards.size(); ++b) {
-        const scenario::EditStorm& bs = storm.storm.boards[b];
-        const std::string& id = bs.spec.name;
-        FaultBoardOutcome bo;
-        bo.board = id;
-        bo.edits = bs.edits.size();
-        bo.applied = svc.stats(id).applied;  // pre-recovery: the served prefix
-        bo.quarantined = svc.is_quarantined(id);
-
-        if (bo.quarantined) {
-          // A quarantined routed board must serve its last-good state: a
-          // fresh route of exactly the edits it committed. A board killed
-          // during its initial route serves nothing — skip straight to
-          // recovery.
-          if (svc.is_routed(id)) {
-            scenario::Scenario pre = scenario::materialize(bs.spec.base);
-            for (std::uint64_t k = 0; k < bo.applied; ++k) {
-              layout::apply_edit(pre.layout, bs.edits.at(k));
-            }
-            const pipeline::Router router(pre.rules, router_options_for(pre));
-            const pipeline::BoardRoute pre_route = router.route_board(pre.layout);
-            bo.prefix_equivalent = pipeline::routes_equivalent(
-                svc.board_layout(id), svc.board_route(id), pre.layout, pre_route,
-                &bo.mismatch);
-          }
-          // Re-admit and replay the lost suffix. The storm's rule windows are
-          // sized to be exhausted by now, so the replay must converge.
-          bool ok = svc.resurrect(id);
-          for (std::size_t k = bo.applied; k < bs.edits.size(); ++k) {
-            ok = svc.submit(id, bs.edits[k]).accepted() && ok;
-          }
-          try {
-            svc.drain();
-          } catch (const service::ServiceError& e) {
-            p.drain_failures += e.failures().size();
-            ok = false;
-          }
-          bo.recovered = ok && !svc.is_quarantined(id);
+        // Re-admit and replay the lost suffix. The storm's rule windows are
+        // sized to be exhausted by now, so the replay must converge.
+        bool ok = svc.resurrect(id);
+        for (std::size_t k = bo.applied_at_drain; k < bs.edits.size(); ++k) {
+          ok = svc.submit(id, bs.edits[k]).accepted() && ok;
         }
-
-        bo.equivalent = pipeline::routes_equivalent(
-            svc.board_layout(id), svc.board_route(id), fresh[b].layout,
-            fresh_routes[b], &bo.mismatch);
-
-        const service::BoardStats st = svc.stats(id);  // recovery included
-        bo.retries = st.retries;
-        bo.degraded_retries = st.degraded_retries;
-        bo.timeouts = st.timeouts;
-        bo.injected_faults = st.injected_faults;
-        bo.quarantines = st.quarantines;
-        bo.resurrections = st.resurrections;
-        bo.shed = st.shed;
-        bo.dropped_edits = st.dropped_edits;
-        bo.backoff_virtual_s = st.backoff_virtual_s;
-
-        p.retries += bo.retries;
-        p.timeouts += bo.timeouts;
-        p.injected_faults += bo.injected_faults;
-        p.quarantines += bo.quarantines;
-        p.resurrections += bo.resurrections;
-        p.shed += bo.shed;
-        p.dropped_edits += bo.dropped_edits;
-        p.all_equivalent = p.all_equivalent && bo.equivalent &&
-                           bo.prefix_equivalent && bo.recovered;
-        p.boards.push_back(std::move(bo));
-      }
-      for (const std::size_t qb : storm.quarantine_boards) {
-        if (p.boards[qb].quarantined) ++quarantine_targets_hit;
+        ok = drain() && ok;
+        bo.recovered = ok && !svc.is_quarantined(id);
       }
 
-      switch (c.kind) {
+      bo.equivalent = pipeline::routes_equivalent(
+          svc.board_layout(id), svc.board_route(id), fresh[b].layout,
+          fresh_routes[b], &bo.mismatch);
+      bo.stats = svc.stats(id);  // recovery included
+      p.all_equivalent = p.all_equivalent && bo.ok();
+      p.boards.push_back(std::move(bo));
+    }
+    p.totals = svc.totals();
+
+    const service::ServiceTotals& t = p.totals;
+    if (!kind) {
+      p.gates_ok = p.drain_failures == 0;
+    } else {
+      switch (*kind) {
         case scenario::FaultStormKind::Transient:
           // Every window is one-shot: faults must have fired, the first
           // retry rung must have absorbed them, nothing may quarantine.
-          p.gates_ok = p.injected_faults >= 1 && p.retries >= 1 &&
-                       p.quarantines == 0;
+          p.gates_ok = t.injected_faults >= 1 && t.retries >= 1 && t.quarantines == 0;
           break;
         case scenario::FaultStormKind::Timeout:
-          p.gates_ok = p.timeouts >= 1;
+          p.gates_ok = t.timeouts >= 1;
           break;
-        case scenario::FaultStormKind::Quarantine:
-          p.gates_ok = quarantine_targets_hit == storm.quarantine_boards.size() &&
-                       p.quarantines >= storm.quarantine_boards.size() &&
-                       p.resurrections >= storm.quarantine_boards.size();
+        case scenario::FaultStormKind::Quarantine: {
+          const std::size_t targets = storm.quarantine_boards.size();
+          const auto hit = std::count_if(
+              storm.quarantine_boards.begin(), storm.quarantine_boards.end(),
+              [&p](std::size_t qb) { return p.boards[qb].quarantined; });
+          p.gates_ok = static_cast<std::size_t>(hit) == targets &&
+                       t.quarantines >= targets && t.resurrections >= targets;
           break;
+        }
       }
-      out.points.push_back(std::move(p));
     }
-    outcomes.push_back(std::move(out));
+    out.points.push_back(std::move(p));
+  }
+  return out;
+}
+
+std::vector<StormOutcome> Suite::run_service(
+    const std::vector<std::size_t>& thread_counts) const {
+  std::vector<StormOutcome> outcomes;
+  for (const scenario::ServiceStormCase& c :
+       scenario::service_storm_cases(opts_.smoke)) {
+    scenario::FaultStorm storm;
+    storm.spec.name = c.name;
+    storm.spec.max_attempts = service::ServiceOptions{}.max_attempts;
+    storm.storm = scenario::materialize_service_storm(c);
+    outcomes.push_back(replay(storm, std::nullopt, thread_counts));
   }
   return outcomes;
 }
 
-Json Suite::fault_storm_json(const std::vector<FaultStormOutcome>& storms) {
+std::vector<StormOutcome> Suite::run_fault_storm(
+    const std::vector<std::size_t>& thread_counts,
+    std::uint64_t seed_override) const {
+  std::vector<StormOutcome> outcomes;
+  for (const scenario::FaultStormCase& c :
+       scenario::fault_storm_cases(opts_.smoke, seed_override)) {
+    outcomes.push_back(replay(scenario::materialize_fault_storm(c), c.kind, thread_counts));
+  }
+  return outcomes;
+}
+
+Json Suite::storm_json(const std::vector<StormOutcome>& storms) {
   Json out = Json::array();
-  for (const FaultStormOutcome& s : storms) {
+  for (const StormOutcome& s : storms) {
     Json js = Json::object();
     js["name"] = s.name;
     js["kind"] = s.kind;
@@ -650,35 +564,22 @@ Json Suite::fault_storm_json(const std::vector<FaultStormOutcome>& storms) {
     js["rules"] = static_cast<std::int64_t>(s.rules);
     js["all_ok"] = s.all_ok();
     Json jpoints = Json::array();
-    for (const FaultThreadPoint& p : s.points) {
+    for (const StormPoint& p : s.points) {
       Json jp = Json::object();
       jp["threads"] = static_cast<std::int64_t>(p.threads);
       jp["replay_s"] = p.replay_s;
-      jp["retries"] = static_cast<std::int64_t>(p.retries);
-      jp["timeouts"] = static_cast<std::int64_t>(p.timeouts);
-      jp["injected_faults"] = static_cast<std::int64_t>(p.injected_faults);
-      jp["quarantines"] = static_cast<std::int64_t>(p.quarantines);
-      jp["resurrections"] = static_cast<std::int64_t>(p.resurrections);
-      jp["shed"] = static_cast<std::int64_t>(p.shed);
-      jp["dropped_edits"] = static_cast<std::int64_t>(p.dropped_edits);
+      jp["edits_per_s"] = p.edits_per_s;
+      jp["totals"] = counters_json(p.totals);
       jp["drain_failures"] = static_cast<std::int64_t>(p.drain_failures);
       jp["all_equivalent"] = p.all_equivalent;
       jp["gates_ok"] = p.gates_ok;
       Json jboards = Json::array();
-      for (const FaultBoardOutcome& b : p.boards) {
+      for (const StormBoard& b : p.boards) {
         Json jb = Json::object();
         jb["board"] = b.board;
         jb["edits"] = static_cast<std::int64_t>(b.edits);
-        jb["applied"] = static_cast<std::int64_t>(b.applied);
-        jb["retries"] = static_cast<std::int64_t>(b.retries);
-        jb["degraded_retries"] = static_cast<std::int64_t>(b.degraded_retries);
-        jb["timeouts"] = static_cast<std::int64_t>(b.timeouts);
-        jb["injected_faults"] = static_cast<std::int64_t>(b.injected_faults);
-        jb["quarantines"] = static_cast<std::int64_t>(b.quarantines);
-        jb["resurrections"] = static_cast<std::int64_t>(b.resurrections);
-        jb["shed"] = static_cast<std::int64_t>(b.shed);
-        jb["dropped_edits"] = static_cast<std::int64_t>(b.dropped_edits);
-        jb["backoff_virtual_s"] = b.backoff_virtual_s;
+        jb["applied_at_drain"] = b.applied_at_drain;
+        jb["stats"] = stats_json(b.stats);
         jb["quarantined"] = b.quarantined;
         jb["prefix_equivalent"] = b.prefix_equivalent;
         jb["recovered"] = b.recovered;
@@ -717,6 +618,7 @@ Json Suite::scaling_json(const std::vector<ScalingCurve>& curves) {
 Json Suite::to_json(const SuiteResult& result, const SuiteOptions& opts) {
   Json doc = Json::object();
   doc["schema"] = kSchema;
+  Json jvol = Json::object();
   Json jrun = run_info_json(collect_run_info());
   // Effective parallelism next to the machine context: `hardware_threads`
   // alone says nothing about what the run actually used.
@@ -724,7 +626,12 @@ Json Suite::to_json(const SuiteResult& result, const SuiteOptions& opts) {
   jrun["pool_policy"] = opts.threads == 0   ? "shared-pool"
                         : opts.threads == 1 ? "serial"
                                             : "explicit-pool";
-  doc["run"] = std::move(jrun);
+  jvol["run"] = std::move(jrun);
+  jvol["runtime_s"] = result.runtime_s;
+  Json jtiming = Json::array();
+  for (const CaseOutcome& c : result.cases) jtiming.push_back(timing_json(c));
+  jvol["timing"] = std::move(jtiming);
+  doc[kVolatile] = std::move(jvol);
 
   Json jopts = Json::object();
   jopts["smoke"] = opts.smoke;
@@ -750,19 +657,16 @@ Json Suite::to_json(const SuiteResult& result, const SuiteOptions& opts) {
       jc["traces"] = static_cast<std::int64_t>(c.traces);
       jc["pairs"] = static_cast<std::int64_t>(c.pairs);
       jc["obstacles"] = static_cast<std::int64_t>(c.obstacles);
-      jc["threads_used"] = static_cast<std::int64_t>(c.threads_used);
       jc["ok"] = c.ok();
       Json jgroups = Json::array();
       for (const GroupOutcome& g : c.groups) jgroups.push_back(group_json(g));
       jc["groups"] = std::move(jgroups);
-      jc["runtime_s"] = c.runtime_s;
       jcases.push_back(std::move(jc));
     }
     jf["cases"] = std::move(jcases);
     jfams.push_back(std::move(jf));
   }
   doc["families"] = std::move(jfams);
-  doc["runtime_s"] = result.runtime_s;
 
   // Self-description of the generated workloads: one entry per case that
   // actually ran, so `(spec, seed)` pairs in the file regenerate the boards.

@@ -9,20 +9,24 @@
 /// (exec/task_pool) shared with the Routers' group/member fan-outs; every
 /// metric is written by case index, so the report is byte-identical across
 /// thread counts. `to_json` serializes the outcome under the report
-/// conventions of report.hpp, so `BENCH_results.json` can be committed and
-/// re-generated bit-identically (modulo the volatile context: `"run"`,
-/// `"scaling"`, `threads_used`/`pool_policy`, and `*_s` timing fields) from
-/// the same seeds. `run_scaling` sweeps thread counts over selected
-/// families and reports the speedup curve.
+/// conventions of report.hpp: the run context and every timing go under
+/// the one `kVolatile` member, so `BENCH_results.json` can be committed and
+/// re-generated bit-identically modulo that member from the same seeds.
+/// `run_scaling` sweeps thread counts over selected families and reports
+/// the speedup curve; `run_edit_storm`, `run_service` and `run_fault_storm`
+/// replay the live-edit workloads against fresh-route oracles.
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "bench_harness/json.hpp"
 #include "exec/task_pool.hpp"
 #include "pipeline/router.hpp"
+#include "scenario/fault_storm.hpp"
 #include "scenario/scenario_families.hpp"
+#include "service/routing_service.hpp"
 
 namespace lmr::bench {
 
@@ -75,10 +79,6 @@ struct CaseOutcome {
   std::size_t traces = 0;
   std::size_t pairs = 0;
   std::size_t obstacles = 0;
-  /// Effective parallelism the case ran under (volatile context, like
-  /// "run": stripped by strip_volatile so thread counts never change the
-  /// tracked quality document).
-  std::size_t threads_used = 1;
   std::vector<GroupOutcome> groups;
   double runtime_s = 0.0;
 
@@ -149,65 +149,15 @@ struct EditStormOutcome {
   double speedup = 0.0;
 };
 
-/// One board's end-of-stream outcome inside a service replay point.
-struct ServiceBoardOutcome {
-  std::string board;              ///< board id (the per-board storm name)
-  std::size_t edits = 0;          ///< stream events addressed to this board
-  std::uint64_t applied = 0;      ///< edits applied through the Session
-  std::uint64_t batches = 0;      ///< dispatches (one reroute + sweep each)
-  std::uint64_t coalesced_batches = 0;
-  std::uint64_t max_batch = 0;
-  std::uint64_t max_queue_depth = 0;
-  std::uint64_t queued_while_frozen = 0;
-  std::uint64_t evictions = 0;
-  std::uint64_t thaws = 0;
-  /// Service end state is routes_equivalent to a fresh route_board of the
-  /// edited board — the hard gate, per board per thread count.
-  bool equivalent = false;
-  std::string mismatch;           ///< first difference when !equivalent
-};
-
-/// One thread count of a service replay sweep.
-struct ServiceThreadPoint {
-  std::size_t threads = 0;
-  double replay_s = 0.0;     ///< submit of event 0 → final drain returned
-  double edits_per_s = 0.0;  ///< events / replay_s, the aggregate rate
-  std::uint64_t batches = 0;             ///< summed over boards
-  std::uint64_t coalesced_batches = 0;
-  std::uint64_t max_batch = 0;           ///< max over boards
-  std::uint64_t max_queue_depth = 0;     ///< max over boards
-  std::uint64_t queued_while_frozen = 0;
-  std::uint64_t evictions = 0;
-  std::uint64_t thaws = 0;
-  std::vector<ServiceBoardOutcome> boards;
-  bool all_equivalent = false;
-};
-
-/// One service-storm case replayed at every swept thread count.
-struct ServiceStormOutcome {
-  std::string name;
-  std::size_t boards = 0;
-  std::size_t events = 0;
-  std::vector<ServiceThreadPoint> points;  ///< in sweep order
-
-  [[nodiscard]] bool all_equivalent() const;
-};
-
-/// One board's end-of-storm verdict inside a fault replay point.
-struct FaultBoardOutcome {
+/// One board's end state inside a storm replay point.
+struct StormBoard {
   std::string board;
-  std::size_t edits = 0;            ///< script length for this board
-  std::uint64_t applied = 0;        ///< edits committed before the final drain
-  std::uint64_t retries = 0;
-  std::uint64_t degraded_retries = 0;
-  std::uint64_t timeouts = 0;
-  std::uint64_t injected_faults = 0;
-  std::uint64_t quarantines = 0;
-  std::uint64_t resurrections = 0;
-  std::uint64_t shed = 0;
-  std::uint64_t dropped_edits = 0;
-  double backoff_virtual_s = 0.0;
-  bool quarantined = false;  ///< board was quarantined when the stream drained
+  std::size_t edits = 0;  ///< script length for this board
+  /// Edits committed when the stream drained, before any recovery: the
+  /// prefix a quarantined board serves.
+  std::uint64_t applied_at_drain = 0;
+  service::BoardStats stats;  ///< the service's own counters, recovery included
+  bool quarantined = false;   ///< board was quarantined when the stream drained
   /// Quarantined boards only: the served last-good state matched a fresh
   /// route of the applied-edit prefix of the script (vacuously true for a
   /// board that was never routed — there is no state to serve).
@@ -219,38 +169,35 @@ struct FaultBoardOutcome {
   /// route_board of the fully edited board — the hard gate.
   bool equivalent = false;
   std::string mismatch;  ///< first difference when a check failed
+
+  [[nodiscard]] bool ok() const { return equivalent && prefix_equivalent && recovered; }
 };
 
-/// One thread count of a fault-storm replay.
-struct FaultThreadPoint {
+/// One thread count of a storm replay.
+struct StormPoint {
   std::size_t threads = 0;
-  double replay_s = 0.0;  ///< submit of event 0 → final drain returned
-  std::uint64_t retries = 0;             ///< summed over boards
-  std::uint64_t timeouts = 0;
-  std::uint64_t injected_faults = 0;
-  std::uint64_t quarantines = 0;
-  std::uint64_t resurrections = 0;
-  std::uint64_t shed = 0;
-  std::uint64_t dropped_edits = 0;
+  double replay_s = 0.0;     ///< submit of event 0 → final drain returned
+  double edits_per_s = 0.0;  ///< events / replay_s, the aggregate rate
+  service::ServiceTotals totals;   ///< RoutingService::totals(), recovery included
   std::size_t drain_failures = 0;  ///< BoardFailure entries across all drains
-  std::vector<FaultBoardOutcome> boards;
-  bool all_equivalent = false;  ///< every board equivalent + prefix/recovery ok
-  /// The kind-specific fault gate: the storm actually exercised what it was
-  /// synthesized to (Transient: faults fired, retries absorbed them, nothing
-  /// quarantined; Timeout: a deadline fired; Quarantine: both target boards
-  /// quarantined and were resurrected).
+  std::vector<StormBoard> boards;
+  bool all_equivalent = false;  ///< every board ok()
+  /// The kind gate: the storm exercised what it was built for. A service
+  /// storm: no drain failed. Transient: faults fired, retries absorbed
+  /// them, nothing quarantined. Timeout: a deadline fired. Quarantine: both
+  /// target boards quarantined and were resurrected.
   bool gates_ok = false;
 };
 
-/// One fault-storm case replayed at every swept thread count.
-struct FaultStormOutcome {
+/// One service or fault storm replayed at every swept thread count.
+struct StormOutcome {
   std::string name;
-  std::string kind;  ///< "transient" | "timeout" | "quarantine"
-  std::uint64_t fault_seed = 0;
+  std::string kind;  ///< "service" | "transient" | "timeout" | "quarantine"
+  std::uint64_t fault_seed = 0;  ///< 0 for a service storm
   std::size_t boards = 0;
   std::size_t events = 0;
-  std::size_t rules = 0;  ///< synthesized fault rules armed per replay
-  std::vector<FaultThreadPoint> points;  ///< in sweep order
+  std::size_t rules = 0;  ///< fault rules armed per replay (0: a service storm)
+  std::vector<StormPoint> points;  ///< in sweep order
 
   [[nodiscard]] bool all_ok() const;  ///< equivalence + gates at every point
 };
@@ -266,7 +213,9 @@ class Suite {
   /// family name.
   [[nodiscard]] SuiteResult run() const;
 
-  /// Full result document (schema + run info + options + cases).
+  /// Full result document: schema, the `kVolatile` member (run context,
+  /// suite runtime and a `timing` table with one entry per case), options,
+  /// families and specs.
   [[nodiscard]] static Json to_json(const SuiteResult& result, const SuiteOptions& opts);
 
   /// Thread-count sweep: rerun `families` once per entry of
@@ -283,8 +232,7 @@ class Suite {
   /// wide enough to see the knee.
   [[nodiscard]] static std::vector<std::size_t> default_scaling_threads();
 
-  /// `"scaling"` section for a result document (volatile by definition:
-  /// strip_volatile removes the whole section).
+  /// `"scaling"` section for a result document's `kVolatile` member.
   [[nodiscard]] static Json scaling_json(const std::vector<ScalingCurve>& curves);
 
   /// Replay the edit-storm catalogue (scenario::edit_storm_cases) on live
@@ -295,25 +243,17 @@ class Suite {
   /// full-route wall clocks feed the reroute-vs-full latency ratio.
   [[nodiscard]] std::vector<EditStormOutcome> run_edit_storm() const;
 
-  /// `"edit_storm"` section for a result document (volatile by definition:
-  /// strip_volatile removes the whole section — the payload is timings).
+  /// `"edit_storm"` section for a result document's `kVolatile` member.
   [[nodiscard]] static Json edit_storm_json(const std::vector<EditStormOutcome>& storms);
 
   /// Replay the service-storm catalogue (scenario::service_storm_cases)
   /// through a service::RoutingService once per entry of `thread_counts`
   /// (each service owning its own executor of that size), honouring the
   /// stream's sync/evict markers, and oracle-check every board's end state
-  /// against a fresh route_board of its edited board — computed once per
-  /// board, since routed geometry is thread-count invariant. Queue-depth,
-  /// coalescing and eviction/thaw counters come from the service's own
-  /// per-board stats.
-  [[nodiscard]] std::vector<ServiceStormOutcome> run_service(
+  /// against a fresh route_board of its edited board. A service storm is a
+  /// fault storm with no rules: `replay` runs both.
+  [[nodiscard]] std::vector<StormOutcome> run_service(
       const std::vector<std::size_t>& thread_counts) const;
-
-  /// `"service"` section for a result document (volatile by definition:
-  /// strip_volatile removes the whole section — the payload is timings,
-  /// rates and scheduling counters).
-  [[nodiscard]] static Json service_json(const std::vector<ServiceStormOutcome>& storms);
 
   /// Replay the fault-storm catalogue (scenario::fault_storm_cases) once
   /// per entry of `thread_counts`, each replay arming a FRESH FaultPlan
@@ -326,14 +266,13 @@ class Suite {
   /// routes_equivalent to the full-script oracle. `seed_override`
   /// (non-zero) re-seeds the rule synthesis — the reproduction knob behind
   /// `bench_suite --fault-storm --seed N`.
-  [[nodiscard]] std::vector<FaultStormOutcome> run_fault_storm(
+  [[nodiscard]] std::vector<StormOutcome> run_fault_storm(
       const std::vector<std::size_t>& thread_counts,
       std::uint64_t seed_override = 0) const;
 
-  /// `"fault_storm"` section for a result document (volatile by definition:
-  /// strip_volatile removes the whole section — the payload is timings and
-  /// fault/retry counters).
-  [[nodiscard]] static Json fault_storm_json(const std::vector<FaultStormOutcome>& storms);
+  /// `"service"` / `"fault_storm"` section for a result document's
+  /// `kVolatile` member: timings, rates and scheduling counters.
+  [[nodiscard]] static Json storm_json(const std::vector<StormOutcome>& storms);
 
   [[nodiscard]] const SuiteOptions& options() const { return opts_; }
 
@@ -343,7 +282,7 @@ class Suite {
   [[nodiscard]] exec::TaskPool* pool() const;
 
   /// Document schema id written into every result file.
-  static constexpr const char* kSchema = "lmroute-bench-suite/v1";
+  static constexpr const char* kSchema = "lmroute-bench-suite/v2";
 
  private:
   [[nodiscard]] CaseOutcome run_case(const scenario::Family& fam,
@@ -355,10 +294,15 @@ class Suite {
   [[nodiscard]] pipeline::RouterOptions router_options_for(
       const scenario::Scenario& sc) const;
   /// The scenario-specific half of router_options_for, without the
-  /// executor wiring: what run_service hands to RoutingService::add_board
+  /// executor wiring: what `replay` hands to RoutingService::add_board
   /// (the service overrides pool/threads with its own executor).
   [[nodiscard]] pipeline::RouterOptions scenario_router_options(
       const scenario::Scenario& sc) const;
+  /// The one storm replay behind run_service and run_fault_storm. `kind`
+  /// is empty for a service storm, whose `storm.rules` are empty too.
+  [[nodiscard]] StormOutcome replay(const scenario::FaultStorm& storm,
+                                    std::optional<scenario::FaultStormKind> kind,
+                                    const std::vector<std::size_t>& thread_counts) const;
 
   SuiteOptions opts_;
   /// Owns-or-borrows the executor per the exec 0/1/N convention (lazy).

@@ -113,24 +113,33 @@ TEST(Json, FindAndErase) {
 }
 
 TEST(Report, StripVolatileRemovesRunAndTimingKeys) {
+  Json vol = Json::object();
+  vol["run"] = run_info_json(collect_run_info());
+  vol["runtime_s"] = 0.5;
   Json doc = Json::object();
-  doc["schema"] = "x/v1";
-  doc["run"] = run_info_json(collect_run_info());
+  doc["schema"] = "x/v2";
+  doc[kVolatile] = std::move(vol);
   doc["metric"] = 1.25;
-  doc["runtime_s"] = 0.5;
+  // Outside the volatile member a key is kept whatever its name: a "run"
+  // or an *_s key there is tracked data.
   Json inner = Json::object();
-  inner["aidt_runtime_s"] = 1.0;
+  inner["run"] = 3;
+  inner["target_s"] = 1.0;
   inner["value"] = 7;
   Json arr = Json::array();
   arr.push_back(std::move(inner));
   doc["cases"] = std::move(arr);
 
   const Json stripped = strip_volatile(doc);
-  EXPECT_EQ(stripped.find("run"), nullptr);
-  EXPECT_EQ(stripped.find("runtime_s"), nullptr);
+  EXPECT_EQ(stripped.find(kVolatile), nullptr);
+  EXPECT_EQ(stripped.size(), 3u);  // schema, metric, cases
+  ASSERT_NE(stripped.find("metric"), nullptr);
   ASSERT_NE(stripped.find("cases"), nullptr);
   const Json& c0 = stripped.find("cases")->items()[0];
-  EXPECT_EQ(c0.find("aidt_runtime_s"), nullptr);
+  ASSERT_NE(c0.find("run"), nullptr);
+  EXPECT_EQ(c0.find("run")->as_int(), 3);
+  ASSERT_NE(c0.find("target_s"), nullptr);
+  EXPECT_EQ(c0.find("target_s")->as_double(), 1.0);
   ASSERT_NE(c0.find("value"), nullptr);
   EXPECT_EQ(c0.find("value")->as_int(), 7);
 }

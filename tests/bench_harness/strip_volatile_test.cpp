@@ -1,115 +1,71 @@
 #include <gtest/gtest.h>
 
-#include <array>
-#include <cstdio>
 #include <string>
 
 #include "bench_harness/report.hpp"
+#include "bench_harness/suite.hpp"
 
-/// Drift guard for the two strip_volatile implementations: the C++
-/// `lmr::bench::strip_volatile` (report.cpp) and its script-side twin
-/// `tools/strip_volatile.py` must produce byte-identical stripped documents
-/// on the committed BENCH_results.json. CI compares results files with the
-/// python script while the unit tests and the suite use the C++ one — if
-/// either learns a volatile key the other doesn't, reproducibility checks
-/// would pass on one side and fail on the other.
+/// The storm replays write timings, rates and scheduling counters that
+/// change with the thread count and dispatch interleaving. Their sections
+/// live under the result document's volatile member, so adding one must
+/// leave the stripped bytes of a real suite document untouched.
 
 namespace lmr::bench {
 namespace {
 
-/// Capture a command's stdout; empty optional-style: ok=false when the
-/// command could not run or exited non-zero.
-bool run_command(const std::string& cmd, std::string& out) {
-  FILE* pipe = popen(cmd.c_str(), "r");
-  if (pipe == nullptr) return false;
-  std::array<char, 4096> buf;
-  std::size_t got = 0;
-  while ((got = fread(buf.data(), 1, buf.size(), pipe)) > 0) {
-    out.append(buf.data(), got);
-  }
-  return pclose(pipe) == 0;
+/// A real result document: the cheapest smoke family, serial.
+Json suite_document() {
+  SuiteOptions opts;
+  opts.smoke = true;
+  opts.families = {"saturated"};
+  opts.threads = 1;
+  return Suite::to_json(Suite(opts).run(), opts);
 }
 
-TEST(StripVolatile, PythonTwinIsByteIdenticalOnTrackedResults) {
-  const std::string src_dir = LMR_SOURCE_DIR;
-  const std::string results = src_dir + "/BENCH_results.json";
-  const std::string script = src_dir + "/tools/strip_volatile.py";
+/// Place `storm` under the volatile member as section `key` and compare
+/// the stripped bytes with and without it.
+void expect_stripped_unchanged(const char* key, const StormOutcome& storm) {
+  const Json doc = suite_document();
+  Json with = doc;
+  with[kVolatile][key] = Suite::storm_json({storm});
+  ASSERT_NE(with.find(kVolatile)->find(key), nullptr);
+  EXPECT_NE(with.dump(2), doc.dump(2));
+  EXPECT_EQ(strip_volatile(with).dump(2), strip_volatile(doc).dump(2));
+}
 
-  std::string probe;
-  if (!run_command("python3 --version 2>/dev/null", probe)) {
-    GTEST_SKIP() << "python3 not available";
-  }
-
-  const Json doc = read_json_file(results);
-  const std::string cpp_stripped = strip_volatile(doc).dump(2) + "\n";
-
-  std::string py_stripped;
-  ASSERT_TRUE(run_command("python3 '" + script + "' '" + results + "'", py_stripped))
-      << "strip_volatile.py failed";
-  EXPECT_EQ(cpp_stripped, py_stripped)
-      << "C++ strip_volatile and tools/strip_volatile.py drifted apart";
+/// A one-point, one-board storm of `kind` with its counters, timings and a
+/// mismatch message filled in.
+StormOutcome sample_storm(const std::string& kind) {
+  StormOutcome storm;
+  storm.name = kind + "/smoke";
+  storm.kind = kind;
+  StormPoint point;
+  point.threads = 4;
+  point.replay_s = 0.25;
+  point.edits_per_s = 16.0;
+  point.totals.applied = 4;
+  point.totals.quarantines = 2;
+  point.drain_failures = 2;
+  StormBoard board;
+  board.board = "b0/multi_group";
+  board.applied_at_drain = 1;
+  board.stats.thaws = 1;
+  board.stats.backoff_virtual_s = 0.07;
+  board.mismatch = "member 0 geometry differs";
+  point.boards.push_back(board);
+  storm.points.push_back(point);
+  return storm;
 }
 
 TEST(StripVolatile, ServiceSectionIsVolatile) {
-  // The multi-board replay section is pure timing + scheduling counters
-  // (edits/sec, queue depths, batch sizes): thread count and dispatch
-  // interleaving change every number, so the whole section strips. Top-level
-  // `*_s` timings strip by suffix alone.
-  Json doc = Json::object();
-  doc["schema"] = "test";
-  Json storm = Json::object();
-  storm["name"] = "service_storm/smoke-8x4";
-  storm["all_equivalent"] = true;
-  Json point = Json::object();
-  point["threads"] = 4;
-  point["replay_s"] = 0.25;
-  point["edits_per_s"] = 128.0;
-  Json points = Json::array();
-  points.push_back(std::move(point));
-  storm["points"] = std::move(points);
-  Json section = Json::array();
-  section.push_back(std::move(storm));
-  doc["service"] = std::move(section);
-  doc["groups"] = 7;
-  doc["extend_runtime_s"] = 0.25;
-  doc["drc_barrier_runtime_s"] = 0.125;
-
-  const Json stripped = strip_volatile(doc);
-  EXPECT_EQ(stripped.find("service"), nullptr);
-  EXPECT_EQ(stripped.find("extend_runtime_s"), nullptr);
-  EXPECT_EQ(stripped.find("drc_barrier_runtime_s"), nullptr);
-  EXPECT_NE(stripped.find("schema"), nullptr);
-  EXPECT_NE(stripped.find("groups"), nullptr);
+  expect_stripped_unchanged("service", sample_storm("service"));
 }
 
 TEST(StripVolatile, FaultStormSectionIsVolatile) {
-  // Fault-storm payloads are retry/timeout/backoff counters and replay
-  // timings; the dropped-vs-shed split even depends on dispatch timing.
-  // The hard gates (end-state equivalence, fault gates) are enforced by
-  // bench_suite's exit code, not by document comparison — strip it whole.
-  Json doc = Json::object();
-  doc["schema"] = "test";
-  Json storm = Json::object();
-  storm["name"] = "fault_storm/quarantine-4x4";
-  storm["kind"] = "quarantine";
-  storm["all_ok"] = true;
-  Json point = Json::object();
-  point["threads"] = 4;
-  point["retries"] = 4;
-  point["quarantines"] = 2;
-  point["backoff_virtual_s"] = 0.07;
-  Json points = Json::array();
-  points.push_back(std::move(point));
-  storm["points"] = std::move(points);
-  Json section = Json::array();
-  section.push_back(std::move(storm));
-  doc["fault_storm"] = std::move(section);
-  doc["groups"] = 7;
-
-  const Json stripped = strip_volatile(doc);
-  EXPECT_EQ(stripped.find("fault_storm"), nullptr);
-  EXPECT_NE(stripped.find("schema"), nullptr);
-  EXPECT_NE(stripped.find("groups"), nullptr);
+  // The dropped-vs-shed split even depends on dispatch timing. The hard
+  // gates (end-state equivalence, fault gates) are enforced by
+  // bench_suite's exit code, not by document comparison.
+  expect_stripped_unchanged("fault_storm", sample_storm("quarantine"));
 }
 
 }  // namespace

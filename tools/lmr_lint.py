@@ -33,10 +33,6 @@ Rules (each one guards an invariant the compiler cannot see):
                  sweep:<scope>/g<N>, session:apply:<scope>, '*' globs), so a
                  typo'd site key fails CI instead of silently never firing.
 
-  volatile-keys  The two strip-volatile twins (tools/strip_volatile.py and
-                 src/bench_harness/report.cpp) must agree on the exact set
-                 of volatile section keys, or result comparison drifts.
-
 Suppression: a comment containing `lmr-lint: allow(<rule>)` on the same
 line (or the line immediately above) silences that rule for that line.
 
@@ -451,67 +447,6 @@ def check_fault_registry(root: Path):
 
 
 # --------------------------------------------------------------------------
-# Rule: volatile-keys
-# --------------------------------------------------------------------------
-
-STRIP_PY = Path("tools") / "strip_volatile.py"
-STRIP_CPP = Path("src") / "bench_harness" / "report.cpp"
-
-
-def _python_volatile_keys(text: str):
-    m = re.search(r"VOLATILE_KEYS\s*=\s*\{([^}]*)\}", text)
-    if m is None:
-        return None
-    return set(re.findall(r'"([^"]+)"', m.group(1)))
-
-
-def _cpp_volatile_keys(text: str):
-    m = re.search(r"Json strip_volatile\(.*?\n\}", text, re.S)
-    if m is None:
-        return None
-    return set(re.findall(r'key\s*==\s*"([^"]+)"', m.group(0)))
-
-
-def check_volatile_keys(root: Path):
-    py_path, cpp_path = root / STRIP_PY, root / STRIP_CPP
-    if not py_path.is_file() or not cpp_path.is_file():
-        yield Violation(STRIP_PY, 1, "volatile-keys", "strip-volatile twin missing")
-        return
-    py_text = py_path.read_text(encoding="utf-8", errors="replace")
-    cpp_text = cpp_path.read_text(encoding="utf-8", errors="replace")
-    py_keys = _python_volatile_keys(py_text)
-    cpp_keys = _cpp_volatile_keys(cpp_text)
-    if py_keys is None:
-        yield Violation(STRIP_PY, 1, "volatile-keys", "VOLATILE_KEYS set not found")
-        return
-    if cpp_keys is None:
-        yield Violation(STRIP_CPP, 1, "volatile-keys", "strip_volatile() not found")
-        return
-    for key in sorted(py_keys - cpp_keys):
-        yield Violation(
-            STRIP_CPP,
-            1,
-            "volatile-keys",
-            f"'{key}' is volatile in strip_volatile.py but not in report.cpp",
-        )
-    for key in sorted(cpp_keys - py_keys):
-        yield Violation(
-            STRIP_PY,
-            1,
-            "volatile-keys",
-            f"'{key}' is volatile in report.cpp but not in strip_volatile.py",
-        )
-    if 'endswith("_s")' not in py_text:
-        yield Violation(
-            STRIP_PY, 1, "volatile-keys", "the *_s-suffix rule is missing"
-        )
-    if '"_s"' not in cpp_text:
-        yield Violation(
-            STRIP_CPP, 1, "volatile-keys", "the *_s-suffix rule is missing"
-        )
-
-
-# --------------------------------------------------------------------------
 # Driver
 # --------------------------------------------------------------------------
 
@@ -562,7 +497,6 @@ def run_lint(root: Path, targets):
             rel = path
         violations.extend(lint_file(path, rel))
     violations.extend(check_fault_registry(root))
-    violations.extend(check_volatile_keys(root))
     return violations
 
 
@@ -596,8 +530,8 @@ def self_test(root: Path) -> int:
             failures += 1
         else:
             print(f"self-test ok: {path.name}: clean")
-    # The repo-level cross-checks must pass on the live tree.
-    for v in list(check_fault_registry(root)) + list(check_volatile_keys(root)):
+    # The repo-level cross-check must pass on the live tree.
+    for v in check_fault_registry(root):
         print(f"self-test FAIL: live tree: {v}")
         failures += 1
     if failures:
