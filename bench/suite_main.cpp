@@ -162,7 +162,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--compare" && i + 2 < argc) {
       return compare(argv[i + 1], argv[i + 2]);
     } else if (arg == "--no-drc") {
-      opts.run_drc = false;
+      opts.router.run_drc = false;
     } else if (arg == "--list") {
       for (const std::string& name : lmr::scenario::family_names()) {
         std::printf("%s\n", name.c_str());

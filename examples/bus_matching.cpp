@@ -1,15 +1,15 @@
 /// \file bus_matching.cpp
 /// Full pipeline on a parallel bus: region assignment (§III) splits a
 /// corridor bundle between six traces of different initial lengths, then the
-/// group matcher meanders each trace to the common target inside its own
-/// region. This is the end-to-end flow of Fig. 2.
+/// Router meanders each trace to the common target inside its own region.
+/// This is the end-to-end flow of Fig. 2.
 
 #include <cstdio>
 #include <filesystem>
 
 #include "assign/region_assigner.hpp"
 #include "layout/drc_checker.hpp"
-#include "pipeline/group_matcher.hpp"
+#include "pipeline/router.hpp"
 #include "viz/render.hpp"
 
 int main() {
@@ -67,9 +67,12 @@ int main() {
   for (const auto& o : obstacles) l.add_obstacle({o, "via"});
   l.add_group(group);
 
-  // Match the whole group.
-  lmr::pipeline::GroupMatcher matcher(l, rules);
-  const lmr::pipeline::GroupReport report = matcher.match_group(0);
+  // Match the whole group; the board-wide DRC below replaces the Router's
+  // per-group oracle.
+  lmr::pipeline::RouterOptions opts;
+  opts.run_drc = false;
+  const lmr::pipeline::Router router(rules, opts);
+  const lmr::pipeline::GroupReport report = router.route_batch(l).group;
 
   std::printf("group '%s': target %.2f\n", report.group_name.c_str(), report.target);
   std::printf("  initial errors: max %.2f%%  avg %.2f%%\n", report.initial_max_error_pct,

@@ -1,8 +1,8 @@
 /// \file quickstart.cpp
 /// Minimal lmroute usage: define rules, a trace and its routable area, and
-/// length-match it to a target with one `pipeline::Router::route()` call —
-/// the facade runs the whole paper flow (DP extension, Eq. 19 accounting,
-/// final DRC sweep). Prints before/after stats and writes an SVG.
+/// length-match it to a target with one `pipeline::Router::route_batch()`
+/// call — the facade runs the whole paper flow (DP extension, Eq. 19
+/// accounting, final DRC sweep). Prints before/after stats and writes an SVG.
 ///
 ///   ./quickstart [target_length]
 
@@ -53,7 +53,7 @@ int main(int argc, char** argv) {
   const lmr::pipeline::Router router(rules);
   lmr::pipeline::RouteResult result;
   try {
-    result = router.route(l);
+    result = router.route_batch(l);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "routing failed: %s\n", e.what());
     return 2;

@@ -70,7 +70,6 @@ Json timing_json(const CaseOutcome& c) {
     jg["extend_runtime_s"] = g.extend_runtime_s;
     jg["drc_overlap_runtime_s"] = g.drc_overlap_runtime_s;
     jg["drc_barrier_runtime_s"] = g.drc_barrier_runtime_s;
-    jg["drc_runtime_s"] = g.drc_runtime_s;
     jgroups.push_back(std::move(jg));
   }
   j["groups"] = std::move(jgroups);
@@ -117,7 +116,6 @@ exec::TaskPool* Suite::pool() const { return pool_handle_.acquire(); }
 
 pipeline::RouterOptions Suite::scenario_router_options(const scenario::Scenario& sc) const {
   pipeline::RouterOptions ropts = opts_.router;
-  ropts.run_drc = opts_.run_drc;
   if (sc.spec.extender_tolerance > 0.0) {
     ropts.extender.tolerance = sc.spec.extender_tolerance;
   }
@@ -168,7 +166,6 @@ CaseOutcome Suite::run_case(const scenario::Family& fam,
     go.extend_runtime_s = rr.extend_runtime_s;
     go.drc_overlap_runtime_s = rr.drc_overlap_runtime_s;
     go.drc_barrier_runtime_s = rr.drc_barrier_runtime_s;
-    go.drc_runtime_s = rr.drc_runtime_s;
     outcome.groups.push_back(std::move(go));
   }
   outcome.runtime_s = seconds_since(t_case);
@@ -635,7 +632,7 @@ Json Suite::to_json(const SuiteResult& result, const SuiteOptions& opts) {
 
   Json jopts = Json::object();
   jopts["smoke"] = opts.smoke;
-  jopts["run_drc"] = opts.run_drc;
+  jopts["run_drc"] = opts.router.run_drc;
   jopts["l_disc"] = opts.router.extender.l_disc;
   jopts["max_width_steps"] = static_cast<std::int64_t>(opts.router.extender.max_width_steps);
   doc["options"] = std::move(jopts);

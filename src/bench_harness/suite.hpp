@@ -37,8 +37,7 @@ struct SuiteOptions {
   /// Pool-wide parallelism across cases, groups and members; 0 = hardware
   /// (exec::resolve_threads), 1 = fully serial.
   std::size_t threads = 0;
-  bool run_drc = true;                 ///< final oracle sweep per group
-  pipeline::RouterOptions router;      ///< engine/extender base options
+  pipeline::RouterOptions router;      ///< engine/extender/run_drc base options
 
   SuiteOptions() {
     // The Table I bench configuration: fine grid, capped width loop.
@@ -66,7 +65,6 @@ struct GroupOutcome {
   double drc_overlap_runtime_s = 0.0;
   /// Wall time of the final cross-member clearance query pass.
   double drc_barrier_runtime_s = 0.0;
-  double drc_runtime_s = 0.0;          ///< total oracle work (overlap + barrier)
 };
 
 /// One scenario's outcome.
@@ -288,7 +286,7 @@ class Suite {
   [[nodiscard]] CaseOutcome run_case(const scenario::Family& fam,
                                      const scenario::FamilyCase& fc) const;
   /// The suite's base RouterOptions specialized to one materialized board:
-  /// threads/run_drc/pool wiring plus the scenario's extender tolerance and
+  /// threads/pool wiring plus the scenario's extender tolerance and
   /// pair rule set. Shared by run_case and run_edit_storm so the storm
   /// sessions route exactly like the suite routes the same family.
   [[nodiscard]] pipeline::RouterOptions router_options_for(

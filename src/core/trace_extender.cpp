@@ -85,7 +85,7 @@ ExtendStats TraceExtender::run(layout::Trace& trace, double target, bool bounded
   while (!queue.empty() && passes < cfg.max_passes) {
     // Cancellation poll, once per pattern placement: a pop is one DP run
     // plus splice, so an expired deadline aborts within a single pattern's
-    // worth of work (the throw unwinds to Router::run's rollback).
+    // worth of work (the throw unwinds to the Router's rollback).
     cfg.cancel.check();
     const double remaining = target - current;
     if (bounded && remaining <= cfg.tolerance) break;

@@ -6,7 +6,6 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <set>
 #include <span>
 #include <stdexcept>
 #include <utility>
@@ -36,13 +35,9 @@ struct MemberWork {
   const layout::ObstacleIndex* obstacles = nullptr;
   layout::Trace trace;    ///< single-ended members
   layout::DiffPair pair;  ///< differential members
-  /// Rollback snapshots, filled by write-back *moving* the layout's
-  /// original paths out as the extended ones move in (no copy on the
-  /// success path). Members write back as each one finishes, so a throw
-  /// later in the group must be able to restore the layout.
-  geom::Polyline orig_primary;
-  geom::Polyline orig_secondary;  ///< negative sub-trace of a pair
-  bool written = false;           ///< write-back ran; rollback must undo it
+  /// Bbox of the member's geometry before extension (both sub-traces of a
+  /// pair), part of the group's domain_bbox.
+  geom::Box pre_route_bbox;
   /// Width-adjusted rules this member's traces are checked against.
   drc::DesignRules net_rules;
   /// First clearance-index slot (a pair owns slot0 and slot0 + 1).
@@ -187,46 +182,31 @@ void append(std::vector<layout::Violation>& out, std::vector<layout::Violation> 
              std::make_move_iterator(v.end()));
 }
 
-/// Rollback bookkeeping for the board-level strong guarantee. run() only
-/// restores its OWN group on failure; in the multi-group drivers below,
-/// sibling groups that finished before the failing one keep their freshly
-/// extended geometry (every claimer drains before an exception propagates).
-/// A retrying caller would then re-extend already-extended traces and land
-/// on different geometry than a fresh route of the same board — so the
-/// drivers snapshot every member they may touch and restore them all on
-/// the way out.
-struct SavedPath {
-  layout::TraceId id = 0;
-  layout::MemberKind kind = layout::MemberKind::SingleEnded;
-  geom::Polyline primary;
-  geom::Polyline secondary;
-};
-
-void save_path(const layout::Layout& layout, layout::TraceId id,
-               layout::MemberKind kind, std::set<layout::TraceId>& seen,
-               std::vector<SavedPath>& out) {
-  if (!seen.insert(id).second) return;
-  SavedPath s;
-  s.id = id;
-  s.kind = kind;
+/// Copy of member `id`'s live geometry.
+MemberSeed copy_member(const layout::Layout& layout, layout::TraceId id,
+                       layout::MemberKind kind) {
+  MemberSeed seed;
+  seed.kind = kind;
   if (kind == layout::MemberKind::SingleEnded) {
-    s.primary = layout.trace(id).path;
+    seed.primary = layout.trace(id).path;
   } else {
     const layout::DiffPair& pair = layout.pair(id);
-    s.primary = pair.positive.path;
-    s.secondary = pair.negative.path;
+    seed.primary = pair.positive.path;
+    seed.secondary = pair.negative.path;
   }
-  out.push_back(std::move(s));
+  return seed;
 }
 
-void restore_paths(layout::Layout& layout, std::vector<SavedPath>& saved) {
-  for (SavedPath& s : saved) {
-    if (s.kind == layout::MemberKind::SingleEnded) {
-      layout.trace(s.id).path = std::move(s.primary);
+/// Move every seed's geometry over its member's live paths. Moves do not
+/// allocate, so a rollback cannot fail halfway.
+void restore(layout::Layout& layout, std::map<layout::TraceId, MemberSeed>& seeds) {
+  for (auto& [id, seed] : seeds) {
+    if (seed.kind == layout::MemberKind::SingleEnded) {
+      layout.trace(id).path = std::move(seed.primary);
     } else {
-      layout::DiffPair& pair = layout.pair(s.id);
-      pair.positive.path = std::move(s.primary);
-      pair.negative.path = std::move(s.secondary);
+      layout::DiffPair& pair = layout.pair(id);
+      pair.positive.path = std::move(seed.primary);
+      pair.negative.path = std::move(seed.secondary);
     }
   }
 }
@@ -251,65 +231,54 @@ Router::Router(drc::DesignRules rules, RouterOptions options)
   rules_.validate();
 }
 
-RouteResult Router::route(layout::Layout& layout, std::size_t group_index) const {
-  const layout::Layout::RoutingFreeze freeze = layout.freeze_for_routing();
-  return run(layout, group_index, 1, layout::ObstacleIndex(layout.obstacles()));
-}
-
 RouteResult Router::route_batch(layout::Layout& layout, std::size_t group_index) const {
-  const layout::Layout::RoutingFreeze freeze = layout.freeze_for_routing();
-  return run(layout, group_index, exec::resolve_threads(options_.threads),
-             layout::ObstacleIndex(layout.obstacles()));
+  if (group_index >= layout.groups().size()) {
+    throw std::out_of_range("Router: bad group index");
+  }
+  std::map<layout::TraceId, MemberSeed> snapshot;
+  for (const layout::GroupMember& m : layout.groups()[group_index].members) {
+    snapshot.try_emplace(m.id, copy_member(layout, m.id, m.kind));
+  }
+  std::vector<RouteResult> results(layout.groups().size());
+  route_groups(layout, {group_index}, results, snapshot);
+  return std::move(results[group_index]);
 }
 
 std::vector<RouteResult> Router::route_all(layout::Layout& layout) const {
-  const std::size_t n_groups = layout.groups().size();
-  const std::size_t threads = exec::resolve_threads(options_.threads);
-  std::vector<RouteResult> results(n_groups);
-  // Board-level rollback snapshot. Unconditional — not gated on an armed
-  // fault plan / cancel / deadline — because extension can throw with
-  // nothing armed (no routable area, a meander target below the current
-  // length, pair-restore misalignment): run() restores only the group that
-  // threw, and the strong guarantee callers rely on (Session retry and the
-  // service's drop-bad-edit recovery) covers earlier groups' write-backs
-  // too. Seed paths are short pre-extension geometry, so the copy is tiny
-  // next to routing itself; bench_micro_fault tracks the disarmed overhead.
-  std::set<layout::TraceId> seen;
-  std::vector<SavedPath> saved;
-  std::size_t n_members = 0;
-  for (std::size_t g = 0; g < n_groups; ++g) n_members += layout.groups()[g].members.size();
-  saved.reserve(n_members);
-  for (std::size_t g = 0; g < n_groups; ++g) {
-    for (const layout::GroupMember& m : layout.groups()[g].members) {
-      save_path(layout, m.id, m.kind, seen, saved);
-    }
-  }
-  try {
-    std::vector<std::size_t> todo(n_groups);
-    for (std::size_t g = 0; g < n_groups; ++g) todo[g] = g;
-    route_groups(layout, todo, results, threads);
-  } catch (...) {
-    restore_paths(layout, saved);
-    throw;
-  }
-  return results;
+  return route_board(layout).results;
 }
 
 void Router::route_groups(layout::Layout& layout, const std::vector<std::size_t>& todo,
-                          std::vector<RouteResult>& results, std::size_t threads) const {
-  const layout::Layout::RoutingFreeze freeze = layout.freeze_for_routing();
-  const layout::ObstacleIndex obstacles(layout.obstacles());
-  if (threads <= 1 || todo.size() <= 1) {
-    for (const std::size_t g : todo) results[g] = run(layout, g, threads, obstacles);
-    return;
+                          std::vector<RouteResult>& results,
+                          std::map<layout::TraceId, MemberSeed>& snapshot) const {
+  // Every caller snapshots whether or not a fault plan, cancel token or
+  // deadline is armed: extension can throw with nothing armed (no routable
+  // area, a meander target below the current length, pair-restore
+  // misalignment), and the strong guarantee callers rely on (Session retry
+  // and the service's drop-bad-edit recovery) covers every group's
+  // write-backs.
+  try {
+    const layout::Layout::RoutingFreeze freeze = layout.freeze_for_routing();
+    const layout::ObstacleIndex obstacles(layout.obstacles());
+    const std::size_t threads = exec::resolve_threads(options_.threads);
+    if (threads <= 1 || todo.size() <= 1) {
+      for (const std::size_t g : todo) results[g] = run(layout, g, threads, obstacles);
+    } else {
+      // One task per group; the nested member fan-out inside run() lands on
+      // the same pool (workers push to their own deques, idle workers
+      // steal), so a board of many small groups fills every worker instead
+      // of running its groups back to back.
+      exec::parallel_for_dynamic(pool(), todo.size(), threads, [&](std::size_t k) {
+        results[todo[k]] = run(layout, todo[k], threads, obstacles);
+      });
+    }
+  } catch (...) {
+    // Both fan-outs drain every claimer before they rethrow, so nothing
+    // writes the layout any more: members of groups that failed, and of
+    // sibling groups that finished, all go back to the snapshot.
+    restore(layout, snapshot);
+    throw;
   }
-  // One task per group; the nested member fan-out inside run() lands on the
-  // same pool (workers push to their own deques, idle workers steal), so a
-  // board of many small groups fills every worker instead of running its
-  // groups back to back.
-  exec::parallel_for_dynamic(pool(), todo.size(), threads, [&](std::size_t k) {
-    results[todo[k]] = run(layout, todo[k], threads, obstacles);
-  });
 }
 
 exec::TaskPool& Router::pool() const {
@@ -323,9 +292,7 @@ exec::TaskPool& Router::pool() const {
 
 RouteResult Router::run(layout::Layout& layout, std::size_t group_index,
                         std::size_t threads, const layout::ObstacleIndex& obstacles) const {
-  if (group_index >= layout.groups().size()) {
-    throw std::out_of_range("Router: bad group index");
-  }
+  LMR_ASSERT(group_index < layout.groups().size(), "route calls pass existing groups");
   // Board edits are rejected while any route is in flight (every caller
   // holds a routing freeze): the stages below read obstacles, areas and
   // group structure from the live layout, so an interleaved mutation would
@@ -354,11 +321,9 @@ RouteResult Router::run(layout::Layout& layout, std::size_t group_index,
     opts = &*patched;
   }
 
-  // Set-up (serial): validate and snapshot every member before any member
-  // runs, declare every clearance-index slot (member order fixes the
-  // deterministic violation order), and keep a rollback copy of each
-  // original path — members write their geometry back as they finish, so
-  // a later failure must be able to undo earlier write-backs.
+  // Set-up (serial): validate and copy every member before any member runs,
+  // and declare every clearance-index slot (member order fixes the
+  // deterministic violation order).
   std::vector<MemberWork> work;
   work.reserve(group.members.size());
   layout::ClearanceIndex index(rules_, options_.drc);
@@ -374,9 +339,12 @@ RouteResult Router::run(layout::Layout& layout, std::size_t group_index,
     w.net_rules = rules_;
     if (w.member.kind == layout::MemberKind::SingleEnded) {
       w.trace = layout.trace(w.member.id);
+      w.pre_route_bbox = w.trace.path.bbox();
       w.slot0 = index.add_slot(w.trace.width, static_cast<std::uint32_t>(m));
     } else {
       w.pair = layout.pair(w.member.id);
+      w.pre_route_bbox = w.pair.positive.path.bbox();
+      w.pre_route_bbox.expand(w.pair.negative.path.bbox());
       w.net_rules.trace_width = w.pair.positive.width;
       w.slot0 = index.add_slot(w.pair.positive.width, static_cast<std::uint32_t>(m));
       index.add_slot(w.pair.negative.width, static_cast<std::uint32_t>(m));
@@ -407,20 +375,13 @@ RouteResult Router::run(layout::Layout& layout, std::size_t group_index,
     reports[i] = route_member(rules_, *opts, w);
     extend_done_s[i] = seconds_since(t_run);
 
-    // Move the layout's original path out (the rollback snapshot — free on
-    // the success path) as the extended one moves in.
     if (w.member.kind == layout::MemberKind::SingleEnded) {
-      geom::Polyline& live = layout.trace(w.member.id).path;
-      w.orig_primary = std::move(live);
-      live = std::move(w.trace.path);
+      layout.trace(w.member.id).path = std::move(w.trace.path);
     } else {
       layout::DiffPair& pair = layout.pair(w.member.id);
-      w.orig_primary = std::move(pair.positive.path);
-      w.orig_secondary = std::move(pair.negative.path);
       pair.positive.path = std::move(w.pair.positive.path);
       pair.negative.path = std::move(w.pair.negative.path);
     }
-    w.written = true;
 
     if (!drc) return;
     token.check();
@@ -442,37 +403,17 @@ RouteResult Router::run(layout::Layout& layout, std::size_t group_index,
     drc_stage_s[i] = seconds_since(t0);
   };
 
-  try {
-    if (threads <= 1 || n <= 1) {
-      for (std::size_t i = 0; i < n; ++i) route_one(i);
-    } else {
-      exec::parallel_for_dynamic(pool(), n, threads, route_one);
-    }
-    // Sweep-site fault + final deadline check live INSIDE the try: the
-    // cross-member sweep below runs after the rollback block, so a fault
-    // meant to model "group failed during final DRC" must still unwind
-    // through the geometry restore to keep the strong guarantee.
-    token.check();
-    if (plan != nullptr) {
-      plan->at_site(fault::sweep_site(options_.fault_scope, group_index));
-    }
-  } catch (...) {
-    // A failed member aborts the whole group, but its siblings may already
-    // have written back (parallel_for_dynamic drains every claimer before
-    // the rethrow, so nothing is still running). Restore the original
-    // geometry of every written-back member: a throw leaves the layout
-    // untouched.
-    for (MemberWork& w : work) {
-      if (!w.written) continue;
-      if (w.member.kind == layout::MemberKind::SingleEnded) {
-        layout.trace(w.member.id).path = std::move(w.orig_primary);
-      } else {
-        layout::DiffPair& pair = layout.pair(w.member.id);
-        pair.positive.path = std::move(w.orig_primary);
-        pair.negative.path = std::move(w.orig_secondary);
-      }
-    }
-    throw;
+  // A failed member aborts the whole group; route_groups puts back the
+  // geometry of every member that had already written back.
+  if (threads <= 1 || n <= 1) {
+    for (std::size_t i = 0; i < n; ++i) route_one(i);
+  } else {
+    exec::parallel_for_dynamic(pool(), n, threads, route_one);
+  }
+  // The sweep-site fault models "group failed during final DRC".
+  token.check();
+  if (plan != nullptr) {
+    plan->at_site(fault::sweep_site(options_.fault_scope, group_index));
   }
 
   RouteResult result;
@@ -480,12 +421,11 @@ RouteResult Router::run(layout::Layout& layout, std::size_t group_index,
   result.group.target = group.target_length;
   result.group.members = std::move(reports);
   // Everything this route read or produced, geometrically: member areas
-  // plus pre-route (now in the rollback snapshots) and post-route paths.
-  // reroute()'s delta → dirty-group proof tests edits against this box.
+  // plus pre-route and post-route paths. reroute()'s delta → dirty-group
+  // proof tests edits against this box.
   for (const MemberWork& w : work) {
     result.domain_bbox.expand(w.area->bbox());
-    result.domain_bbox.expand(w.orig_primary.bbox());
-    result.domain_bbox.expand(w.orig_secondary.bbox());
+    result.domain_bbox.expand(w.pre_route_bbox);
     if (w.member.kind == layout::MemberKind::SingleEnded) {
       result.domain_bbox.expand(layout.trace(w.member.id).path.bbox());
     } else {
@@ -531,7 +471,6 @@ RouteResult Router::run(layout::Layout& layout, std::size_t group_index,
     const auto t_barrier = core::now();
     result.cross_violations = index.sweep();
     result.drc_barrier_runtime_s = seconds_since(t_barrier);
-    result.drc_runtime_s = result.drc_overlap_runtime_s + result.drc_barrier_runtime_s;
   } else {
     for (const MemberReport& mr : result.group.members) {
       result.nets.push_back({mr, {}});
@@ -547,19 +486,13 @@ BoardRoute Router::route_board(layout::Layout& layout) const {
   for (std::size_t g = 0; g < layout.groups().size(); ++g) {
     board.rerouted_groups.push_back(g);
     for (const layout::GroupMember& m : layout.groups()[g].members) {
-      MemberSeed seed;
-      seed.kind = m.kind;
-      if (m.kind == layout::MemberKind::SingleEnded) {
-        seed.primary = layout.trace(m.id).path;
-      } else {
-        const layout::DiffPair& pair = layout.pair(m.id);
-        seed.primary = pair.positive.path;
-        seed.secondary = pair.negative.path;
-      }
-      board.seeds.emplace(m.id, std::move(seed));
+      board.seeds.try_emplace(m.id, copy_member(layout, m.id, m.kind));
     }
   }
-  board.results = route_all(layout);
+  board.results.resize(layout.groups().size());
+  // The seeds are the pre-call geometry: they double as the rollback
+  // snapshot, so every path on the board is copied once.
+  route_groups(layout, board.rerouted_groups, board.results, board.seeds);
   board.version = layout.version();
   return board;
 }
@@ -642,107 +575,44 @@ std::vector<std::size_t> Router::affected_groups(
   return out;
 }
 
-BoardRoute Router::reroute(layout::Layout& layout, const BoardRoute& prior,
-                           std::span<const layout::LayoutDelta> deltas) const {
-  if (prior.version + deltas.size() != layout.version()) {
-    throw std::invalid_argument(
-        "Router::reroute: deltas do not connect the prior route's version to "
-        "the layout's (stale prior or truncated edit list)");
-  }
-  for (std::size_t i = 0; i < deltas.size(); ++i) {
-    if (deltas[i].version != prior.version + i + 1) {
-      throw std::invalid_argument("Router::reroute: deltas out of order");
-    }
-  }
-
+BoardRoute Router::reroute(layout::Layout& layout, const BoardRoute& prior) const {
   const std::size_t n_groups = layout.groups().size();
   BoardRoute next;
   next.version = layout.version();
   next.seeds = prior.seeds;
   next.results = prior.results;
   next.results.resize(n_groups);  // groups are only ever appended
-  next.rerouted_groups = affected_groups(layout, prior, deltas);
+  next.rerouted_groups = affected_groups(layout, prior, layout.deltas_since(prior.version));
 
   // Every member an affected group holds now — or held when `prior` routed
   // it (a member edited out must fall back to its pristine geometry, same
   // as a fresh route of the edited board would leave it) — restarts from
-  // its pristine seed. Members the prior route never saw are snapshotted
-  // here: un-routed geometry *is* pristine.
-  const auto restore = [&](layout::TraceId id, layout::MemberKind kind) {
-    auto it = next.seeds.find(id);
-    if (it == next.seeds.end()) {
-      MemberSeed seed;
-      seed.kind = kind;
-      if (kind == layout::MemberKind::SingleEnded) {
-        seed.primary = layout.trace(id).path;
-      } else {
-        const layout::DiffPair& pair = layout.pair(id);
-        seed.primary = pair.positive.path;
-        seed.secondary = pair.negative.path;
-      }
-      next.seeds.emplace(id, std::move(seed));
-      return;
-    }
-    if (it->second.kind == layout::MemberKind::SingleEnded) {
-      layout.trace(id).path = it->second.primary;
-    } else {
-      layout::DiffPair& pair = layout.pair(id);
-      pair.positive.path = it->second.primary;
-      pair.negative.path = it->second.secondary;
-    }
+  // its pristine seed. Members the prior route never saw are seeded here:
+  // un-routed geometry *is* pristine. The rollback snapshot is their
+  // geometry before the restart, so a throw hands back the pre-call layout,
+  // not the seeds. Its cost is bounded by the affected groups, i.e. the
+  // geometry being rerouted anyway. The restart only moves copies in, which
+  // cannot throw, so every later throw comes from route_groups, which puts
+  // the snapshot back.
+  std::map<layout::TraceId, MemberSeed> snapshot;
+  std::map<layout::TraceId, MemberSeed> start;
+  const auto touch = [&](layout::TraceId id, layout::MemberKind kind) {
+    if (snapshot.contains(id)) return;
+    const MemberSeed& now = snapshot.emplace(id, copy_member(layout, id, kind)).first->second;
+    start.emplace(id, next.seeds.try_emplace(id, now).first->second);
   };
-  // Snapshot every member the seed-restore below or the group re-runs may
-  // touch (the seed restore is itself a layout mutation): on failure the
-  // caller gets its pre-call geometry back, not a half-restored mix.
-  // Unconditional even with no fault source armed — a bad edit can make a
-  // rerouted member throw from extension itself (see route_all) and the
-  // seed restore has already mutated the layout by then. Cost is bounded
-  // by the affected groups, i.e. the geometry being rerouted anyway.
-  std::set<layout::TraceId> seen;
-  std::vector<SavedPath> saved;
-  std::size_t n_save = 0;
-  for (const std::size_t g : next.rerouted_groups) {
-    if (g < prior.results.size()) n_save += prior.results[g].group.members.size();
-    n_save += layout.groups()[g].members.size();
-  }
-  saved.reserve(n_save);
   for (const std::size_t g : next.rerouted_groups) {
     if (g < prior.results.size()) {
-      for (const MemberReport& m : prior.results[g].group.members) {
-        save_path(layout, m.id, m.kind, seen, saved);
-      }
+      for (const MemberReport& m : prior.results[g].group.members) touch(m.id, m.kind);
     }
-    for (const layout::GroupMember& m : layout.groups()[g].members) {
-      save_path(layout, m.id, m.kind, seen, saved);
-    }
+    for (const layout::GroupMember& m : layout.groups()[g].members) touch(m.id, m.kind);
   }
 
-  try {
-    for (const std::size_t g : next.rerouted_groups) {
-      if (g < prior.results.size()) {
-        for (const MemberReport& m : prior.results[g].group.members) {
-          restore(m.id, m.kind);
-        }
-      }
-      for (const layout::GroupMember& m : layout.groups()[g].members) {
-        restore(m.id, m.kind);
-      }
-    }
-
-    // Re-run only the affected groups, with route_all's executor
-    // discipline; untouched groups keep their spliced prior results
-    // verbatim.
-    route_groups(layout, next.rerouted_groups, next.results,
-                 exec::resolve_threads(options_.threads));
-  } catch (...) {
-    restore_paths(layout, saved);
-    throw;
-  }
+  restore(layout, start);
+  // Re-run only the affected groups; untouched groups keep their spliced
+  // prior results verbatim.
+  route_groups(layout, next.rerouted_groups, next.results, snapshot);
   return next;
-}
-
-BoardRoute Router::reroute(layout::Layout& layout, const BoardRoute& prior) const {
-  return reroute(layout, prior, layout.deltas_since(prior.version));
 }
 
 }  // namespace lmr::pipeline

@@ -8,13 +8,15 @@
 /// pair restoration for differential members (dtw/*), group-level Eq. 19
 /// error accounting, and the final DRC oracle sweep (layout/drc_checker).
 ///
-/// One `route()` call length-matches a group of a layout and returns
-/// per-net diagnostics; `route_batch()` runs the same flow with independent
-/// nets extended on the persistent work-stealing executor (exec/task_pool);
-/// `route_all()` batches every group of a layout into one task fan-out so
-/// small groups never serialize behind each other. Each route call indexes
-/// the board's obstacles once (layout::ObstacleIndex) and shares the index
-/// read-only across every group and worker for the per-net oracle.
+/// One public call per job: `route_batch()` length-matches one group of a
+/// layout and returns per-net diagnostics; `route_all()` batches every group
+/// of a layout into one task fan-out so small groups never serialize behind
+/// each other; `route_board()` is `route_all()` plus the pristine seeds and
+/// layout version a `reroute()` needs to re-run only the groups later edits
+/// can touch. Every call fans out on the persistent work-stealing executor
+/// (exec/task_pool) up to `RouterOptions::threads` claimers (1 = serial),
+/// indexes the board's obstacles once (layout::ObstacleIndex) and shares the
+/// index read-only across every group and worker for the per-net oracle.
 ///
 /// Within one group each member runs as one closure — extend → write-back →
 /// per-net DRC — in member order when serial and under
@@ -28,6 +30,11 @@
 /// disjoint routable areas, so they are independent), and every report,
 /// violation list and index slot is written at its member-order index, so
 /// the outcome — including violation order — is independent of scheduling.
+///
+/// A throw leaves the layout untouched. Each call copies the geometry of
+/// every member it may touch into a `MemberSeed` snapshot before routing,
+/// and the one group driver writes that snapshot back on any throw, after
+/// every claimer has drained.
 
 #include <cstddef>
 #include <cstdint>
@@ -91,8 +98,8 @@ struct RouterOptions {
   Engine engine = Engine::DpMsdtw; ///< baseline selection
   bool run_drc = true;             ///< final oracle sweep after matching
   layout::DrcCheckOptions drc;     ///< oracle tolerances
-  /// Parallelism cap for route_batch / route_all (claimer count per
-  /// fan-out); 0 = hardware concurrency (exec::resolve_threads).
+  /// Parallelism cap for every route call (claimer count per fan-out);
+  /// 0 = hardware concurrency (exec::resolve_threads), 1 = serial.
   std::size_t threads = 0;
   /// Executor running the fan-out. Non-owning; nullptr lets the Router
   /// pick: the lazy shared singleton when `threads == 0`, otherwise a
@@ -111,9 +118,9 @@ struct RouterOptions {
   /// test per poll.
   fault::CancelToken cancel;
   /// Per-group route budget in seconds; 0 = none. Each `run` (one group's
-  /// route, whether via route()/route_all()/reroute()) derives a deadline
-  /// token at entry; expiry surfaces as fault::RouteTimeout with the same
-  /// layout-untouched guarantee. Composes with `cancel`.
+  /// route, whichever call runs it) derives a deadline token at entry;
+  /// expiry surfaces as fault::RouteTimeout with the same layout-untouched
+  /// guarantee. Composes with `cancel`.
   double deadline_s = 0.0;
   /// Fault-injection plane (tests, fault_storm bench); nullptr = disarmed —
   /// one null test per site. See fault/fault_plan.hpp for the site keys.
@@ -133,7 +140,8 @@ struct NetResult {
   [[nodiscard]] bool drc_clean() const { return violations.empty(); }
 };
 
-/// Whole-run outcome of `route()` / `route_batch()`.
+/// One group's outcome: what `route_batch()` returns, and one entry per group
+/// of `route_all()` / `BoardRoute::results`.
 struct RouteResult {
   GroupReport group;            ///< Eq. 19 error metrics + member reports
   std::vector<NetResult> nets;  ///< one entry per group member
@@ -150,9 +158,6 @@ struct RouteResult {
   /// Wall time of the final cross-member clearance query pass — the only
   /// part of the oracle that is a barrier.
   double drc_barrier_runtime_s = 0.0;
-  /// Total oracle work: drc_overlap_runtime_s + drc_barrier_runtime_s. Not
-  /// pure tail latency: the per-net share overlaps extension.
-  double drc_runtime_s = 0.0;
   /// Everything this group's route read or produced, geometrically: the
   /// union of member routable-area bboxes and pre-/post-route path bboxes.
   /// `Router::reroute` proves a board edit cannot have changed this group
@@ -166,11 +171,12 @@ struct RouteResult {
   [[nodiscard]] bool ok() const { return matched() && drc_clean(); }
 };
 
-/// Pristine (pre-route) geometry of one group member. Re-routing a group is
-/// only equivalent to routing it fresh if it starts from the same input
-/// polylines, so `route_board` snapshots every member's path before the
-/// first extension and `reroute` restores the snapshot for every member of
-/// an affected group before re-running it.
+/// A copy of one group member's geometry, and the Router's one snapshot
+/// type: every route call keeps one per member it may touch, keyed by
+/// member id, and writes them back if it throws. Re-routing a group is only
+/// equivalent to routing it fresh if it starts from the same input
+/// polylines, so `route_board` keeps its snapshot as the pristine seeds and
+/// `reroute` restarts every member of an affected group from its seed.
 struct MemberSeed {
   layout::MemberKind kind = layout::MemberKind::SingleEnded;
   geom::Polyline primary;    ///< the trace, or traceP of a pair
@@ -181,8 +187,8 @@ struct MemberSeed {
 /// `route_board` produces one; `reroute` consumes a prior one plus the
 /// journal suffix and splices fresh results over the affected groups only.
 struct BoardRoute {
-  /// layout.version() the results correspond to. `reroute` rejects delta
-  /// lists that do not connect this version to the layout's current one.
+  /// layout.version() the results correspond to. `reroute` re-routes over
+  /// the layout's journal since this version.
   std::uint64_t version = 0;
   /// One result per group, in group order — bit-identical (geometry and
   /// violations) to a fresh `route_all` of the same board.
@@ -197,61 +203,46 @@ struct BoardRoute {
 
 /// The end-to-end facade. Construct once with the design rules, then route
 /// as many layouts as needed (the Router itself is immutable and
-/// thread-compatible: concurrent `route()` calls on distinct layouts are
-/// safe).
+/// thread-compatible: concurrent route calls on distinct layouts are safe).
 class Router {
  public:
   /// Throws std::invalid_argument on inconsistent rules.
   explicit Router(drc::DesignRules rules, RouterOptions options = {});
 
-  /// Match group `group_index` of `layout` sequentially. Throws
-  /// std::out_of_range on a bad index and std::invalid_argument when a
-  /// member lacks a routable area.
-  RouteResult route(layout::Layout& layout, std::size_t group_index = 0) const;
-
-  /// Same flow with independent nets extended across up to
-  /// `options.threads` claimers on the persistent executor (no per-call
-  /// thread spawning). Bit-identical trace geometry to `route()`; only the
-  /// timing fields differ.
+  /// Match group `group_index` of `layout`, its independent nets extended
+  /// across up to `options.threads` claimers on the persistent executor (no
+  /// per-call thread spawning). Trace geometry is bit-identical at every
+  /// thread count; only the timing fields differ. Throws std::out_of_range
+  /// on a bad index and std::invalid_argument when a member lacks a
+  /// routable area.
   RouteResult route_batch(layout::Layout& layout, std::size_t group_index = 0) const;
 
   /// Route *every* group of `layout` as one task batch: groups and their
   /// members share the same executor, so a board of many small groups
-  /// saturates the pool instead of serializing group by group. Returns one
-  /// RouteResult per group, in group order, bit-identical to calling
-  /// `route()` per group. Requires what every generated board satisfies:
-  /// no trace belongs to two groups (members are written back
-  /// concurrently).
+  /// saturates the pool instead of serializing group by group. Returns
+  /// `route_board(layout).results`: one RouteResult per group, in group
+  /// order, bit-identical to calling `route_batch()` per group. Requires
+  /// what every generated board satisfies: no trace belongs to two groups
+  /// (members are written back concurrently).
   std::vector<RouteResult> route_all(layout::Layout& layout) const;
 
   /// `route_all` plus the session bookkeeping: snapshot every member's
-  /// pristine geometry first, stamp the layout version, return the package
-  /// `reroute` incrementally updates.
+  /// pristine geometry first (the seeds double as the rollback snapshot),
+  /// stamp the layout version, return the package `reroute` incrementally
+  /// updates.
   BoardRoute route_board(layout::Layout& layout) const;
 
-  /// Incremental re-route: prove which groups the recorded edits can touch
-  /// (group-structure deltas name their group; geometric deltas miss a
-  /// group when their dirty bbox inflated by the worst-case clearance
-  /// radius misses its cached domain bbox), restore those groups' members
-  /// to their pristine seeds, re-run only them on the same executor, and
-  /// splice the fresh results over `prior`'s. The result is bit-identical —
-  /// trace geometry and violation sets — to a fresh `route_all` of the
-  /// edited board. `deltas` must be exactly the journal suffix connecting
-  /// `prior.version` to `layout.version()`: stale, reordered or truncated
-  /// edit lists throw std::invalid_argument.
-  BoardRoute reroute(layout::Layout& layout, const BoardRoute& prior,
-                     std::span<const layout::LayoutDelta> deltas) const;
-  /// Convenience: reroute over the layout's own journal suffix since
-  /// `prior.version` (always correctly ordered).
+  /// Incremental re-route over the layout's journal since `prior.version`:
+  /// prove which groups the recorded edits can touch (group-structure
+  /// deltas name their group; geometric deltas miss a group when their
+  /// dirty bbox inflated by the worst-case clearance radius misses its
+  /// cached domain bbox), restart those groups' members from their pristine
+  /// seeds, re-run only them on the same executor, and splice the fresh
+  /// results over `prior`'s. The result is bit-identical — trace geometry
+  /// and violation sets — to a fresh `route_all` of the edited board. A
+  /// `prior` newer than the layout throws std::invalid_argument (from
+  /// Layout::deltas_since); a throw hands back the pre-call geometry.
   BoardRoute reroute(layout::Layout& layout, const BoardRoute& prior) const;
-
-  /// The delta → dirty-group proof by itself (exposed for tests and
-  /// diagnostics): indices of groups the edits could have affected, in
-  /// group order. Groups the board has grown past `prior.results` are
-  /// always included.
-  [[nodiscard]] std::vector<std::size_t> affected_groups(
-      const layout::Layout& layout, const BoardRoute& prior,
-      std::span<const layout::LayoutDelta> deltas) const;
 
   [[nodiscard]] const drc::DesignRules& rules() const { return rules_; }
   [[nodiscard]] const RouterOptions& options() const { return options_; }
@@ -261,24 +252,36 @@ class Router {
   [[nodiscard]] exec::TaskPool& pool() const;
 
  private:
-  /// One group's route. The caller holds a routing freeze for as long as
-  /// `obstacles` (an index over layout.obstacles()) is alive.
+  /// One group's route: extend → write-back → per-net DRC per member, then
+  /// the cross-member sweep. The caller holds a routing freeze for as long
+  /// as `obstacles` (an index over layout.obstacles()) is alive, and undoes
+  /// the write-backs if this throws.
   RouteResult run(layout::Layout& layout, std::size_t group_index, std::size_t threads,
                   const layout::ObstacleIndex& obstacles) const;
-  /// The group loop behind route_all/reroute: freeze the board, index its
-  /// obstacles once, then one task per group in `todo`. Writes results[g]
-  /// for every g in todo (index-addressed — scheduling cannot change
-  /// output).
+  /// The one group driver behind every route call: freeze the board, index
+  /// its obstacles once, then one task per group in `todo`. Writes
+  /// results[g] for every g in todo (index-addressed — scheduling cannot
+  /// change output). On any throw, once every claimer has drained, it moves
+  /// `snapshot` (the pre-call geometry of every member the call may touch)
+  /// back into the layout and rethrows.
   void route_groups(layout::Layout& layout, const std::vector<std::size_t>& todo,
-                    std::vector<RouteResult>& results, std::size_t threads) const;
+                    std::vector<RouteResult>& results,
+                    std::map<layout::TraceId, MemberSeed>& snapshot) const;
+  /// The delta → dirty-group proof: indices of groups the edits could have
+  /// affected, in group order. Groups the board has grown past
+  /// `prior.results` are always included.
+  [[nodiscard]] std::vector<std::size_t> affected_groups(
+      const layout::Layout& layout, const BoardRoute& prior,
+      std::span<const layout::LayoutDelta> deltas) const;
   /// Worst-case distance at which anything on the board can still influence
   /// a route (see affected_groups).
   [[nodiscard]] double interaction_radius(const layout::Layout& layout) const;
 
   drc::DesignRules rules_;
   RouterOptions options_;
-  /// Owns-or-borrows the executor per the exec 0/1/N convention, lazily
-  /// (route()-only Routers never spawn a thread) and reused across calls.
+  /// Owns-or-borrows the executor per the exec 0/1/N convention, lazily (a
+  /// serial Router, threads == 1, never spawns a thread) and reused across
+  /// calls.
   mutable exec::PoolHandle pool_handle_;
 };
 

@@ -132,9 +132,9 @@ ApplyOutcome Session::resync(ApplyMode mode) {
 
 void Session::finish_reroute(ApplyOutcome& outcome, ApplyMode mode) {
   const auto t0 = core::now();
-  // The journal-suffix overload reroutes over *every* delta the route has
-  // not seen, not just this batch's: after a prior reroute-phase failure
-  // the suffix also carries the stranded deltas, so the commit self-heals.
+  // reroute() reads *every* delta the route has not seen from the journal,
+  // not just this batch's: after a prior reroute-phase failure the suffix
+  // also carries the stranded deltas, so the commit self-heals.
   route_ = mode == ApplyMode::Degraded ? degraded_router().reroute(layout_, route_)
                                        : router_.reroute(layout_, route_);
   outcome.reroute_s = core::seconds_since(t0);

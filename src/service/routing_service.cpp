@@ -162,7 +162,7 @@ void RoutingService::quarantine_locked(Board& b, std::exception_ptr err) {
     b.last_good.reset();
     b.session.reset();
   }
-  // An unrouted board keeps its pristine session: Router::run's rollback
+  // An unrouted board keeps its pristine session: the Router's rollback
   // guarantees the layout is untouched by the failed initial route, so
   // resurrect() can simply reschedule it.
 }

@@ -103,7 +103,7 @@ TEST(Suite, JsonFollowsSchema) {
     for (std::size_t g = 0; g < groups.size(); ++g) {
       EXPECT_EQ(groups[g].find("group")->as_string(), c.groups[g].group);
       for (const char* key : {"runtime_s", "extend_runtime_s", "drc_overlap_runtime_s",
-                              "drc_barrier_runtime_s", "drc_runtime_s"}) {
+                              "drc_barrier_runtime_s"}) {
         EXPECT_NE(groups[g].find(key), nullptr) << key;
       }
     }

@@ -164,11 +164,12 @@ TEST(ParallelForDynamic, PropagatesExceptions) {
 }
 
 TEST(ParallelForDynamic, ExceptionReachesCallerOnlyAfterEveryClaimerFinished) {
-  // Router::run restores every written-back member as soon as its member
-  // fan-out throws, so no claimer may still be running when the exception
-  // reaches the caller. Index 0 throws at once on whichever claimer takes it
-  // (normally the caller, which claims right after submitting the workers);
-  // 37 and 63 throw on other claimers while their siblings are mid-call.
+  // The Router writes its rollback snapshot back as soon as its group
+  // fan-out (with member fan-outs nested inside) throws, so no claimer may
+  // still be running when the exception reaches the caller. Index 0 throws
+  // at once on whichever claimer takes it (normally the caller, which
+  // claims right after submitting the workers); 37 and 63 throw on other
+  // claimers while their siblings are mid-call.
   TaskPool pool(3);
   for (int trial = 0; trial < 20; ++trial) {
     std::atomic<int> running{0};

@@ -1,9 +1,10 @@
 /// Router-level fault injection: the strong exception guarantee under the
 /// deterministic fault plane. An injected fault or expired deadline at any
 /// stage — member extension, the cross-member sweep, or the extender's
-/// pattern loop — must unwind through Router::run's rollback and leave the
-/// layout byte-identical to its pre-route state; a retry with the fault
-/// window spent must then produce exactly the route an unfaulted run does.
+/// pattern loop — must unwind through the Router's rollback (the snapshot
+/// its group driver writes back) and leave the layout byte-identical to its
+/// pre-route state; a retry with the fault window spent must then produce
+/// exactly the route an unfaulted run does.
 
 #include <memory>
 #include <stdexcept>
@@ -20,8 +21,11 @@
 namespace lmr::pipeline {
 namespace {
 
+/// Serial unless a test says otherwise: members and groups run in order, so
+/// a fault finds every earlier one written back.
 RouterOptions storm_options(const scenario::Scenario& sc) {
   RouterOptions o;
+  o.threads = 1;
   o.extender.l_disc = 0.5;
   o.extender.max_width_steps = 24;
   if (sc.spec.extender_tolerance > 0.0) o.extender.tolerance = sc.spec.extender_tolerance;
@@ -57,51 +61,59 @@ TEST(FaultInjection, ExtendFaultRollsBackAndRetrySucceeds) {
   layout::Layout board = storm.scenario.layout;
   const auto before = all_paths(board);
   const Router router(storm.scenario.rules, opts);
-  EXPECT_THROW((void)router.route(board, 0), fault::InjectedFault);
+  EXPECT_THROW((void)router.route_batch(board, 0), fault::InjectedFault);
   EXPECT_EQ(all_paths(board), before) << "rollback left residue";
 
   // Window spent: the retry must equal a never-faulted route bit for bit.
-  const RouteResult retried = router.route(board, 0);
+  const RouteResult retried = router.route_batch(board, 0);
   layout::Layout clean_board = storm.scenario.layout;
   const Router clean(storm.scenario.rules, storm_options(storm.scenario));
-  const RouteResult reference = clean.route(clean_board, 0);
+  const RouteResult reference = clean.route_batch(clean_board, 0);
   EXPECT_EQ(all_paths(board), all_paths(clean_board));
   EXPECT_EQ(retried.violation_count(), reference.violation_count());
 }
 
 TEST(FaultInjection, BoardRouteRollsBackSiblingGroupsOnFault) {
-  // Board-level strong guarantee: route_all runs groups in parallel, and
-  // Router::run's rollback only covers the group that threw. Sibling
-  // groups that finished before the fault propagates must ALSO be
-  // restored — otherwise a retry re-extends already-extended traces and
-  // diverges from a fresh route. Regression test for the route_all /
-  // reroute snapshot-restore wrapper; pin threads > 1 so siblings really
-  // do complete while group 0 is dying.
+  // Board-level strong guarantee: sibling groups that finished before one
+  // group's fault propagates must be restored too — otherwise a retry
+  // re-extends already-extended traces and diverges from a fresh route.
+  // Two schedules: at 4 threads with group 0 faulted, siblings complete
+  // while it is dying; serially with the last group faulted, every earlier
+  // group has written back when it throws.
   scenario::EditStorm storm =
       scenario::materialize_storm(scenario::edit_storm_cases(true).at(0));
-  RouterOptions opts = storm_options(storm.scenario);
-  opts.threads = 4;
-  opts.fault_scope = "b0";
-  opts.fault_plan = std::make_shared<fault::FaultPlan>();
-  opts.fault_plan->add({fault::extend_site("b0", 0, 0), /*nth=*/1, /*count=*/1});
+  const std::size_t n_groups = storm.scenario.layout.groups().size();
+  ASSERT_GE(n_groups, 2u) << "needs sibling groups to expose the leak";
+  struct Schedule {
+    std::size_t threads;
+    std::size_t faulted_group;
+  };
+  for (const Schedule s : {Schedule{4, 0}, Schedule{1, n_groups - 1}}) {
+    SCOPED_TRACE("t" + std::to_string(s.threads) + "/g" + std::to_string(s.faulted_group));
+    RouterOptions opts = storm_options(storm.scenario);
+    opts.threads = s.threads;
+    opts.fault_scope = "b0";
+    opts.fault_plan = std::make_shared<fault::FaultPlan>();
+    opts.fault_plan->add(
+        {fault::extend_site("b0", s.faulted_group, 0), /*nth=*/1, /*count=*/1});
 
-  layout::Layout board = storm.scenario.layout;
-  ASSERT_GE(board.groups().size(), 2u) << "needs sibling groups to expose the leak";
-  const auto before = all_paths(board);
-  const Router router(storm.scenario.rules, opts);
-  EXPECT_THROW((void)router.route_board(board), fault::InjectedFault);
-  EXPECT_EQ(all_paths(board), before) << "a sibling group kept its geometry";
+    layout::Layout board = storm.scenario.layout;
+    const auto before = all_paths(board);
+    const Router router(storm.scenario.rules, opts);
+    EXPECT_THROW((void)router.route_board(board), fault::InjectedFault);
+    EXPECT_EQ(all_paths(board), before) << "a sibling group kept its geometry";
 
-  // Window spent: the whole-board retry must match a never-faulted board.
-  const BoardRoute retried = router.route_board(board);
-  layout::Layout clean_board = storm.scenario.layout;
-  RouterOptions clean_opts = storm_options(storm.scenario);
-  clean_opts.threads = 4;
-  const Router clean(storm.scenario.rules, clean_opts);
-  const BoardRoute reference = clean.route_board(clean_board);
-  EXPECT_EQ(all_paths(board), all_paths(clean_board));
-  std::string why;
-  EXPECT_TRUE(routes_equivalent(board, retried, clean_board, reference, &why)) << why;
+    // Window spent: the whole-board retry must match a never-faulted board.
+    const BoardRoute retried = router.route_board(board);
+    layout::Layout clean_board = storm.scenario.layout;
+    RouterOptions clean_opts = storm_options(storm.scenario);
+    clean_opts.threads = s.threads;
+    const Router clean(storm.scenario.rules, clean_opts);
+    const BoardRoute reference = clean.route_board(clean_board);
+    EXPECT_EQ(all_paths(board), all_paths(clean_board));
+    std::string why;
+    EXPECT_TRUE(routes_equivalent(board, retried, clean_board, reference, &why)) << why;
+  }
 }
 
 TEST(FaultInjection, SweepFaultStillRollsBackEveryWriteback) {
@@ -117,9 +129,9 @@ TEST(FaultInjection, SweepFaultStillRollsBackEveryWriteback) {
   layout::Layout board = storm.scenario.layout;
   const auto before = all_paths(board);
   const Router router(storm.scenario.rules, opts);
-  EXPECT_THROW((void)router.route(board, 0), fault::InjectedFault);
+  EXPECT_THROW((void)router.route_batch(board, 0), fault::InjectedFault);
   EXPECT_EQ(all_paths(board), before) << "sweep-site fault skipped the rollback";
-  EXPECT_NO_THROW((void)router.route(board, 0));
+  EXPECT_NO_THROW((void)router.route_batch(board, 0));
 }
 
 TEST(FaultInjection, ImpossibleDeadlineTimesOutCleanly) {
@@ -131,7 +143,7 @@ TEST(FaultInjection, ImpossibleDeadlineTimesOutCleanly) {
   layout::Layout board = storm.scenario.layout;
   const auto before = all_paths(board);
   const Router router(storm.scenario.rules, opts);
-  EXPECT_THROW((void)router.route(board, 0), fault::RouteTimeout);
+  EXPECT_THROW((void)router.route_batch(board, 0), fault::RouteTimeout);
   EXPECT_EQ(all_paths(board), before);
 }
 
@@ -147,8 +159,8 @@ TEST(FaultInjection, GenerousDeadlineDoesNotPerturbTheRoute) {
   layout::Layout plain_board = storm.scenario.layout;
   const Router timed_router(storm.scenario.rules, timed);
   const Router plain_router(storm.scenario.rules, storm_options(storm.scenario));
-  const RouteResult a = timed_router.route(timed_board, 0);
-  const RouteResult b = plain_router.route(plain_board, 0);
+  const RouteResult a = timed_router.route_batch(timed_board, 0);
+  const RouteResult b = plain_router.route_batch(plain_board, 0);
   EXPECT_EQ(all_paths(timed_board), all_paths(plain_board));
   EXPECT_EQ(a.violation_count(), b.violation_count());
 }
@@ -164,7 +176,7 @@ TEST(FaultInjection, PreCancelledTokenAbortsBeforeAnyWork) {
   layout::Layout board = storm.scenario.layout;
   const auto before = all_paths(board);
   const Router router(storm.scenario.rules, opts);
-  EXPECT_THROW((void)router.route(board, 0), fault::RouteCancelled);
+  EXPECT_THROW((void)router.route_batch(board, 0), fault::RouteCancelled);
   EXPECT_EQ(all_paths(board), before);
 }
 

@@ -8,13 +8,11 @@
 #include "pipeline/session.hpp"
 #include "scenario/scenario_families.hpp"
 
-/// Mega-board contract of Router::route_board / reroute. The router once
-/// split a board into spatial tiles with tile-local obstacle subsets; one
-/// board-wide layout::ObstacleIndex, shared read-only by every group task,
-/// now does that job. The contract the tiles were held to stays: how the
-/// board is scheduled never changes the outcome. Routed geometry and
-/// violation sets are bit-identical for every thread count, and an
-/// incremental reroute equals a fresh route.
+/// Mega-board contract of Router::route_board / reroute, with one board-wide
+/// layout::ObstacleIndex shared read-only by every group task: how the board
+/// is scheduled never changes the outcome. Routed geometry and violation
+/// sets are bit-identical for every thread count, and an incremental
+/// reroute equals a fresh route.
 
 namespace lmr::pipeline {
 namespace {
@@ -35,7 +33,7 @@ scenario::Scenario mega_smoke() {
   return scenario::materialize(scenario::family("mega_board", true).cases.at(0));
 }
 
-TEST(TileRouting, MegaBoardRouteIsIdenticalAcrossTilesAndThreads) {
+TEST(MegaBoardRoute, IdenticalAcrossThreadCounts) {
   // Baseline: serial. Every thread count must reproduce it bit for bit.
   scenario::Scenario base = mega_smoke();
   const Router baseline(base.rules, mega_options(base, 1));
@@ -52,7 +50,7 @@ TEST(TileRouting, MegaBoardRouteIsIdenticalAcrossTilesAndThreads) {
   }
 }
 
-TEST(TileRouting, RerouteUnderTilingMatchesFreshRoute) {
+TEST(MegaBoardRoute, RerouteMatchesFreshSerialRoute) {
   // Edit script: retarget one group, nudge one obstacle. The reroute must
   // splice to exactly the state a fresh serial route of the edited board
   // produces — and must not re-run the whole board to get there.

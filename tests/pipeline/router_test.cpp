@@ -51,7 +51,7 @@ layout::Layout small_group(drc::DesignRules& rules) {
 TEST(Router, BadGroupIndexThrows) {
   layout::Layout l;
   const Router router{drc::DesignRules{}};
-  EXPECT_THROW((void)router.route(l, 0), std::out_of_range);
+  EXPECT_THROW((void)router.route_batch(l, 0), std::out_of_range);
 }
 
 TEST(Router, MissingAreaThrows) {
@@ -64,14 +64,14 @@ TEST(Router, MissingAreaThrows) {
   g.members.push_back({layout::MemberKind::SingleEnded, id});
   l.add_group(g);
   const Router router{drc::DesignRules{}};
-  EXPECT_THROW((void)router.route(l), std::invalid_argument);
+  EXPECT_THROW((void)router.route_batch(l), std::invalid_argument);
 }
 
 TEST(Router, SmallGroupMatchesAndPassesDrc) {
   drc::DesignRules rules;
   layout::Layout l = small_group(rules);
   const Router router{rules};
-  const RouteResult res = router.route(l);
+  const RouteResult res = router.route_batch(l);
 
   ASSERT_EQ(res.nets.size(), 3u);
   EXPECT_TRUE(res.matched());
@@ -88,13 +88,33 @@ TEST(Router, SmallGroupMatchesAndPassesDrc) {
   }
 }
 
+TEST(Router, MemberTargetOverrideReachesItsOwnTarget) {
+  layout::Layout l;
+  layout::MatchGroup g;
+  g.target_length = 40.0;
+  layout::Trace t;
+  t.path = geom::Polyline{{{0, 0}, {30, 0}}};
+  const auto id = l.add_trace(t);
+  layout::RoutableArea area;
+  area.outline = geom::Polygon::rect({{-1, -5}, {31, 5}});
+  l.set_routable_area(id, area);
+  g.members.push_back({layout::MemberKind::SingleEnded, id});
+  g.member_targets = {45.0};
+  l.add_group(g);
+  drc::DesignRules rules;
+  rules.gap = 1.0;
+  rules.protect = 0.5;
+  const RouteResult res = Router{rules}.route_batch(l);
+  EXPECT_NEAR(res.group.members[0].final_length, 45.0, 1e-4);
+}
+
 TEST(Router, Table1CaseEndToEnd) {
   // A full Table I dense single-ended case through the one-call facade:
   // errors collapse from the ~30 % initial band to the paper's few-percent
   // band and the oracle sweep stays clean.
   auto c = workload::table1_case(3);
   const Router router(c.rules, table1_options());
-  const RouteResult res = router.route(c.layout);
+  const RouteResult res = router.route_batch(c.layout);
 
   ASSERT_EQ(res.nets.size(), static_cast<std::size_t>(c.group_size));
   EXPECT_GT(res.group.initial_max_error_pct, 25.0);
@@ -111,7 +131,7 @@ TEST(Router, Table1CaseEndToEnd) {
 TEST(Router, DifferentialCaseDiagnostics) {
   auto c = workload::table1_case(5);
   const Router router(c.rules, table1_options());
-  const RouteResult res = router.route(c.layout);
+  const RouteResult res = router.route_batch(c.layout);
 
   ASSERT_EQ(res.nets.size(), static_cast<std::size_t>(c.group_size));
   for (const NetResult& net : res.nets) {
@@ -119,6 +139,11 @@ TEST(Router, DifferentialCaseDiagnostics) {
     EXPECT_GE(net.member.final_length, net.member.initial_length);
   }
   EXPECT_LT(res.group.max_error_pct, res.group.initial_max_error_pct / 2.0);
+  // Both restored sub-traces of every pair stay free of self-intersections.
+  for (const auto& [id, pair] : c.layout.pairs()) {
+    EXPECT_FALSE(pair.positive.path.self_intersects()) << "pair " << id;
+    EXPECT_FALSE(pair.negative.path.self_intersects()) << "pair " << id;
+  }
 }
 
 TEST(Router, AidtBaselineSelection) {
@@ -127,7 +152,7 @@ TEST(Router, AidtBaselineSelection) {
   opts.engine = Engine::AidtStyle;
   opts.run_drc = false;
   const Router router(c.rules, opts);
-  const RouteResult res = router.route(c.layout);
+  const RouteResult res = router.route_batch(c.layout);
   // The greedy baseline improves on the initial state but (on dense cases)
   // stays behind the DP flow's few-percent band.
   EXPECT_LT(res.group.max_error_pct, res.group.initial_max_error_pct);
@@ -135,8 +160,8 @@ TEST(Router, AidtBaselineSelection) {
   EXPECT_TRUE(res.nets[0].violations.empty());  // run_drc=false: no sweep ran
 }
 
-/// route_batch must be bit-identical to route() on every trace, whatever the
-/// thread count.
+/// route_batch must be bit-identical on every trace, whatever the thread
+/// count.
 TEST(Router, BatchIdenticalSingleVsMultiThreaded) {
   for (const int case_id : {1, 5}) {
     auto sequential = workload::table1_case(case_id);
@@ -212,8 +237,8 @@ void expect_identical_geometry(const layout::Layout& a, const layout::Layout& b)
   }
 }
 
-/// route_all on seeded multi-group boards: bit-identical to per-group
-/// route() whatever the thread count, results in group order. The mega
+/// route_all on seeded multi-group boards: bit-identical to serial per-group
+/// route_batch whatever the thread count, results in group order. The mega
 /// smoke board (8 groups x 32 nets in a dense via field) runs its groups as
 /// concurrent tasks sharing one obstacle index.
 TEST(Router, RouteAllDeterministicAcrossThreadCounts) {
@@ -225,10 +250,11 @@ TEST(Router, RouteAllDeterministicAcrossThreadCounts) {
 
     auto reference = reference_sc.layout;
     RouterOptions ref_opts = table1_options();
+    ref_opts.threads = 1;
     const Router ref_router(reference_sc.rules, ref_opts);
     std::vector<RouteResult> ref_results;
     for (std::size_t g = 0; g < reference.groups().size(); ++g) {
-      ref_results.push_back(ref_router.route(reference, g));
+      ref_results.push_back(ref_router.route_batch(reference, g));
     }
 
     for (const std::size_t threads :

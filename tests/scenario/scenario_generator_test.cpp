@@ -206,7 +206,7 @@ TEST(ScenarioFamilies, SaturatedScenarioSaturatesCleanly) {
   opts.extender.max_width_steps = 24;
   const pipeline::Router router(sc.rules, opts);
   layout::Layout layout = sc.layout;
-  const pipeline::RouteResult res = router.route(layout);
+  const pipeline::RouteResult res = router.route_batch(layout);
   EXPECT_FALSE(res.matched());
   EXPECT_TRUE(res.drc_clean()) << res.violation_count() << " violations";
   EXPECT_GT(res.group.members[0].final_length, res.group.members[0].initial_length);

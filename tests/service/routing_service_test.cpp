@@ -56,7 +56,7 @@ void replay(RoutingService& svc, const scenario::ServiceStorm& storm) {
   svc.drain();
 }
 
-TEST(RoutingService, ServiceStormMatchesFreshRoutesUnderEverySchedule) {
+TEST(RoutingService, ServiceStormMatchesFreshRoutesAcrossThreadCounts) {
   const scenario::ServiceStormCase c = scenario::service_storm_cases(true).at(0);
   scenario::ServiceStorm storm = scenario::materialize_service_storm(c);
   ASSERT_GE(storm.boards.size(), 8u);
