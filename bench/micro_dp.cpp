@@ -2,8 +2,13 @@
 /// Microbenchmarks for the §IV-D complexity claims: the DP transition is
 /// O(n^2) in the number of discrete points (width loop capped makes it
 /// O(n * W)), and URA height solving is near-linear in nearby polygons.
+/// BM_HeightSolver times queries against one prebuilt solver;
+/// BM_HeightSolverPerSegment adds the per-(segment, side) build the
+/// extender pays before every DP.
 
 #include <benchmark/benchmark.h>
+
+#include <algorithm>
 
 #include "core/height_solver.hpp"
 #include "core/segment_dp.hpp"
@@ -65,6 +70,41 @@ void BM_HeightSolver(benchmark::State& state) {
   state.SetComplexityN(n_polys);
 }
 BENCHMARK(BM_HeightSolver)->RangeMultiplier(4)->Range(4, 256)->Complexity();
+
+/// What the extender runs per queued segment: two side solvers built with
+/// `for_segment` over an environment of obstacles on both sides of a
+/// 100-long segment, then one width-capped DP whose height callback queries
+/// them.
+void BM_HeightSolverPerSegment(benchmark::State& state) {
+  const int n_polys = static_cast<int>(state.range(0));
+  lmr::core::Environment env;
+  for (int i = 0; i < n_polys; ++i) {
+    const double x = (i * 37 % 100) - 0.5;
+    const double y = (i % 2 == 0 ? 1.0 : -2.0) * (1.5 + (i * 13 % 7));
+    env.add_static(lmr::geom::Polygon::rect({{x, y}, {x + 1.0, y + 1.0}}),
+                   lmr::core::EnvKind::Obstacle);
+  }
+  const lmr::geom::Segment seg{{0.0, 0.0}, {100.0, 0.0}};
+  lmr::core::DpParams p;
+  p.n = 101;
+  p.step = 1.0;
+  p.gap_steps = 2;
+  p.protect_steps = 1;
+  p.min_height = 1.0;
+  p.needed_gain = 1e9;
+  p.max_width_steps = 24;
+  const double reach = 8.0;
+  for (auto _ : state) {
+    const auto up = lmr::core::HeightSolver::for_segment(env, seg, +1, reach, 0.5);
+    const auto down = lmr::core::HeightSolver::for_segment(env, seg, -1, reach, 0.5);
+    const lmr::core::HeightFn h = [&](int j, int i, int dir, double req) {
+      return (dir > 0 ? up : down).max_height(j * p.step, i * p.step, std::min(req, reach));
+    };
+    benchmark::DoNotOptimize(lmr::core::run_segment_dp(p, h));
+  }
+  state.SetComplexityN(n_polys);
+}
+BENCHMARK(BM_HeightSolverPerSegment)->RangeMultiplier(4)->Range(4, 256)->Complexity();
 
 }  // namespace
 

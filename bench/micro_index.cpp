@@ -1,34 +1,19 @@
-/// \file micro_rangetree.cpp
-/// Microbenchmarks for the two spatial indexes: the range tree of §IV-D
-/// (O(N log N) build, O(log^2 N + k) window queries — Alg. 2's P_check
-/// accelerator inside HeightSolver) and the uniform segment grid (O(1)
-/// insert/remove, O(cells + k) window visits) behind
-/// layout::ClearanceIndex. The ClearanceSweep trio times that index's
-/// sweep cold / warm / one-dirty.
+/// \file micro_index.cpp
+/// Microbenchmarks for the uniform segment grid (O(1) insert/remove,
+/// O(cells + k) window visits) behind layout::ClearanceIndex. The
+/// ClearanceSweep trio times that index's sweep cold / warm / one-dirty.
 
 #include <benchmark/benchmark.h>
 
 #include <random>
 
-#include "index/range_tree.hpp"
 #include "index/seg_grid.hpp"
 #include "layout/clearance_index.hpp"
 
 namespace {
 
-std::vector<lmr::index::RangeTree2D::Entry> random_entries(std::size_t n) {
-  std::mt19937_64 rng(99);
-  std::uniform_real_distribution<double> u(0.0, 1000.0);
-  std::vector<lmr::index::RangeTree2D::Entry> entries;
-  entries.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    entries.push_back({{u(rng), u(rng)}, i});
-  }
-  return entries;
-}
-
-/// Short random segments in the same 1000x1000 arena the point entries use
-/// (10-30 long: the scale of one meander leg against a ~20 cell).
+/// Short random segments in a 1000x1000 arena (10-30 long: the scale of one
+/// meander leg against a ~20 cell).
 std::vector<lmr::geom::Segment> random_segments(std::size_t n) {
   std::mt19937_64 rng(99);
   std::uniform_real_distribution<double> u(0.0, 970.0);
@@ -41,37 +26,6 @@ std::vector<lmr::geom::Segment> random_segments(std::size_t n) {
   }
   return segs;
 }
-
-void BM_RangeTreeBuild(benchmark::State& state) {
-  const auto entries = random_entries(static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state) {
-    lmr::index::RangeTree2D tree{entries};
-    benchmark::DoNotOptimize(tree.size());
-  }
-  state.SetComplexityN(state.range(0));
-}
-BENCHMARK(BM_RangeTreeBuild)->RangeMultiplier(4)->Range(256, 65536)->Complexity();
-
-void BM_RangeTreeQuerySmallWindow(benchmark::State& state) {
-  const auto entries = random_entries(static_cast<std::size_t>(state.range(0)));
-  const lmr::index::RangeTree2D tree{entries};
-  std::mt19937_64 rng(7);
-  std::uniform_real_distribution<double> u(0.0, 980.0);
-  for (auto _ : state) {
-    const double x = u(rng), y = u(rng);
-    std::size_t count = 0;
-    tree.visit({{x, y}, {x + 20.0, y + 20.0}}, [&](const auto&) {
-      ++count;
-      return true;
-    });
-    benchmark::DoNotOptimize(count);
-  }
-  state.SetComplexityN(state.range(0));
-}
-BENCHMARK(BM_RangeTreeQuerySmallWindow)
-    ->RangeMultiplier(4)
-    ->Range(256, 65536)
-    ->Complexity();
 
 void BM_SegGridBuild(benchmark::State& state) {
   const auto segs = random_segments(static_cast<std::size_t>(state.range(0)));

@@ -5,11 +5,11 @@
 /// d_obs), and the URAs of the other segments of the trace under extension.
 ///
 /// Static polygons (area + obstacles) keep their bounding boxes in a flat
-/// list for edge-level prefiltering; the 2-D range tree the paper
-/// prescribes for Alg. 2 (§IV-D) is built per query window by HeightSolver
-/// over the polygons `collect` returns. Dynamic polygons (the trace's
-/// self-URAs, which change after every insertion) are swapped per segment
-/// and scanned linearly — there are at most a few dozen.
+/// list for edge-level prefiltering; HeightSolver scans the nodes of the
+/// polygons `collect` returns for Alg. 2 (§IV-D) directly, with no range
+/// tree. Dynamic polygons (the trace's self-URAs, which change after every
+/// insertion) are swapped per segment and scanned linearly — there are at
+/// most a few dozen.
 
 #include <cstdint>
 #include <vector>

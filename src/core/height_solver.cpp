@@ -13,6 +13,8 @@ namespace lmr::core {
 namespace {
 
 constexpr double kStrict = 1e-9;
+/// Side-shrink prefilter margin (Eq. 11): three orders above kEps.
+constexpr double kSideReach = 1e-6;
 
 /// Strictly-inside test against the outer border (touching the border is
 /// exactly the rule distance, hence legal).
@@ -31,17 +33,16 @@ bool inside_inner(const geom::Box& inner, const geom::Point& p) {
 
 HeightSolver::HeightSolver(std::vector<LocalPoly> polys, double half)
     : polys_(std::move(polys)), half_(half) {
-  std::vector<index::RangeTree2D::Entry> entries;
-  for (std::size_t i = 0; i < polys_.size(); ++i) {
-    LocalPoly& lp = polys_[i];
+  for (LocalPoly& lp : polys_) {
     lp.bbox = lp.poly.bbox();
     lp.min_y = std::numeric_limits<double>::infinity();
+    lp.finite = true;
     for (const geom::Point& p : lp.poly.points()) {
       lp.min_y = std::min(lp.min_y, p.y);
-      entries.push_back({p, static_cast<std::uint32_t>(i)});
+      lp.finite = lp.finite && std::isfinite(p.x) && std::isfinite(p.y);
     }
   }
-  node_tree_ = index::RangeTree2D{std::move(entries)};
+  cand_.reserve(polys_.size());
 }
 
 HeightSolver HeightSolver::for_segment(const Environment& env, const geom::Segment& s, int dir,
@@ -73,52 +74,65 @@ HeightSolver HeightSolver::for_segment(const Environment& env, const geom::Segme
   return HeightSolver{std::move(locals), half};
 }
 
-double HeightSolver::shrink_by_sides(const UraBorders& b,
-                                     const std::vector<std::size_t>& cand) const {
+double HeightSolver::shrink_by_sides(const UraBorders& b) const {
   double hob = b.hob;
   const geom::Box outer = b.outer();
   const geom::Segment left{{outer.lo.x, 0.0}, {outer.lo.x, b.hob}};
   const geom::Segment right{{outer.hi.x, 0.0}, {outer.hi.x, b.hob}};
-  for (std::size_t idx : cand) {
-    const LocalPoly& lp = polys_[idx];
+  // An edge whose extent misses a side's abscissa, or the side's [0, hob]
+  // span, by more than kSideReach cannot meet that side:
+  // segment_intersection's endpoint tolerance is kEps along the edge and
+  // along the side, and its rounding is far below the margin at any board
+  // scale. So only calls that would return nullopt are skipped. Polygons
+  // with a non-finite node get no prefilter: an edge running to x = ±inf
+  // meets both sides at its finite end's y.
+  const auto meets = [](double lo, double hi, double from, double to) {
+    return lo <= to + kSideReach && hi >= from - kSideReach;
+  };
+  for (const Cand& c : cand_) {
+    const LocalPoly& lp = polys_[c.idx];
     for (std::size_t e = 0; e < lp.poly.size(); ++e) {
       const geom::Segment edge = lp.poly.edge(e);
-      if (auto p = geom::segment_intersection(edge, left)) hob = std::min(hob, p->y);
-      if (auto p = geom::segment_intersection(edge, right)) hob = std::min(hob, p->y);
+      const auto [ylo, yhi] = std::minmax(edge.a.y, edge.b.y);
+      if (lp.finite && !meets(ylo, yhi, 0.0, b.hob)) continue;
+      const auto [xlo, xhi] = std::minmax(edge.a.x, edge.b.x);
+      if (!lp.finite || meets(xlo, xhi, left.a.x, left.a.x)) {
+        if (auto p = geom::segment_intersection(edge, left)) hob = std::min(hob, p->y);
+      }
+      if (!lp.finite || meets(xlo, xhi, right.a.x, right.a.x)) {
+        if (auto p = geom::segment_intersection(edge, right)) hob = std::min(hob, p->y);
+      }
     }
   }
   return hob;
 }
 
-double HeightSolver::shrink_by_nodes(UraBorders b, const std::vector<std::size_t>& cand) const {
+double HeightSolver::shrink_by_nodes(UraBorders b) const {
   // Interleave hat shrinking (Alg. 2 / Eq. 12) and inner-border shrinking
   // (Eq. 13) until neither applies. Each shrink lands hob on a node
   // ordinate strictly below the previous hob, so the loop terminates.
-  std::vector<std::size_t> inside_count(polys_.size(), 0);
-  std::vector<double> inside_min_y(polys_.size(), 0.0);
   while (b.hob > kStrict) {
     // --- classify nodes against the current outer border ---
-    for (std::size_t idx : cand) {
-      inside_count[idx] = 0;
-      inside_min_y[idx] = std::numeric_limits<double>::infinity();
-    }
+    // A node strictly inside it lies in the initial outer border, so its
+    // polygon is a candidate; counts and minima do not depend on order.
     const geom::Box outer = b.outer();
-    node_tree_.visit(outer, [&](const index::RangeTree2D::Entry& e) {
-      if (strictly_inside(outer, e.p)) {
-        inside_count[e.payload] += 1;
-        inside_min_y[e.payload] = std::min(inside_min_y[e.payload], e.p.y);
+    for (Cand& c : cand_) {
+      c.inside = 0;
+      c.inside_min_y = std::numeric_limits<double>::infinity();
+      for (const geom::Point& p : polys_[c.idx].poly.points()) {
+        if (strictly_inside(outer, p)) {
+          c.inside += 1;
+          c.inside_min_y = std::min(c.inside_min_y, p.y);
+        }
       }
-      return true;
-    });
+    }
 
     double new_hob = b.hob;
     // Hat rule (Eq. 12): partially-inside polygons cap hob at their lowest
     // inside node.
-    for (std::size_t idx : cand) {
-      const LocalPoly& lp = polys_[idx];
-      const std::size_t cnt = inside_count[idx];
-      if (cnt == 0 || cnt == lp.poly.size()) continue;
-      new_hob = std::min(new_hob, inside_min_y[idx]);
+    for (const Cand& c : cand_) {
+      if (c.inside == 0 || c.inside == polys_[c.idx].poly.size()) continue;
+      new_hob = std::min(new_hob, c.inside_min_y);
     }
     if (new_hob < b.hob - kStrict) {
       b.hob = new_hob;
@@ -130,9 +144,9 @@ double HeightSolver::shrink_by_nodes(UraBorders b, const std::vector<std::size_t
     // whole polygon.
     const geom::Box inner = b.inner();
     const bool inner_usable = !b.inner_empty();
-    for (std::size_t idx : cand) {
-      const LocalPoly& lp = polys_[idx];
-      if (inside_count[idx] != lp.poly.size() || lp.poly.empty()) continue;
+    for (const Cand& c : cand_) {
+      const LocalPoly& lp = polys_[c.idx];
+      if (c.inside != lp.poly.size() || lp.poly.empty()) continue;
       bool ok = inner_usable && lp.kind == EnvKind::Obstacle;
       if (ok) {
         for (const geom::Point& p : lp.poly.points()) {
@@ -156,11 +170,11 @@ double HeightSolver::max_height(double x0, double x1, double h_request) const {
 
   // Candidate polygons: bbox overlap with the initial outer border.
   const geom::Box outer = b.outer();
-  std::vector<std::size_t> cand;
+  cand_.clear();
   for (std::size_t i = 0; i < polys_.size(); ++i) {
-    if (polys_[i].bbox.intersects(outer, kStrict)) cand.push_back(i);
+    if (polys_[i].bbox.intersects(outer, kStrict)) cand_.push_back({i});
   }
-  if (cand.empty()) return b.pattern_height();
+  if (cand_.empty()) return b.pattern_height();
 
   // Solid polygons that straddle the base line inside the border are
   // invisible to the node-based shrinking below: their sub-base nodes fail
@@ -171,8 +185,8 @@ double HeightSolver::max_height(double x0, double x1, double h_request) const {
   // reaches across the joint). Any pattern on this span would rise straight
   // through it — the exhaustive oracle rejects every such height, so the
   // fast path must too.
-  for (std::size_t idx : cand) {
-    const LocalPoly& lp = polys_[idx];
+  for (const Cand& c : cand_) {
+    const LocalPoly& lp = polys_[c.idx];
     if (lp.kind == EnvKind::AreaOutline) continue;
     if (lp.bbox.lo.y < -kStrict && lp.bbox.hi.y > kStrict &&
         lp.bbox.lo.x < outer.hi.x - kStrict && lp.bbox.hi.x > outer.lo.x + kStrict) {
@@ -180,9 +194,9 @@ double HeightSolver::max_height(double x0, double x1, double h_request) const {
     }
   }
 
-  b.hob = shrink_by_sides(b, cand);
+  b.hob = shrink_by_sides(b);
   if (b.hob <= half_) return 0.0;
-  b.hob = shrink_by_nodes(b, cand);
+  b.hob = shrink_by_nodes(b);
   return b.pattern_height();
 }
 

@@ -16,8 +16,9 @@
 ///     node points both inside and outside the outer border cap hob at their
 ///     lowest inside node (Eq. 12); iterated to a fixpoint because each
 ///     shrink can expose new partially-inside polygons. The inside-node query
-///     is served by a range tree over the local node set, exactly the
-///     accelerator of §IV-D;
+///     scans the nodes of the polygons whose bbox meets the initial outer
+///     border, not the range tree of §IV-D: `max_height` is already linear in
+///     those polygons, so a tree per (segment, side) only added its build;
 ///  4. shrink by the inner border: polygons entirely inside the outer border
 ///     must lie entirely inside the inner border (then the pattern legally
 ///     routes around them) or the hat is pushed below the whole polygon
@@ -35,7 +36,6 @@
 #include "core/ura.hpp"
 #include "geom/frame.hpp"
 #include "geom/polygon.hpp"
-#include "index/range_tree.hpp"
 
 namespace lmr::core {
 
@@ -44,7 +44,8 @@ struct LocalPoly {
   geom::Polygon poly;
   EnvKind kind = EnvKind::Obstacle;
   geom::Box bbox;
-  double min_y = 0.0;  ///< lowest node ordinate (Eq. 13 shrink target)
+  double min_y = 0.0;   ///< lowest node ordinate (Eq. 13 shrink target)
+  bool finite = true;   ///< every node finite (the side prefilter's precondition)
 };
 
 class HeightSolver {
@@ -59,7 +60,8 @@ class HeightSolver {
                                   double max_reach, double half);
 
   /// Maximum valid height h <= h_request for a pattern with feet at local
-  /// x0 < x1. Returns 0 when no positive height is valid.
+  /// x0 < x1. Returns 0 when no positive height is valid. Allocates nothing:
+  /// it works in per-solver scratch, so one solver serves one thread.
   [[nodiscard]] double max_height(double x0, double x1, double h_request) const;
 
   /// Brute-force oracle: is a pattern of height `h` at (x0, x1) valid under
@@ -74,15 +76,22 @@ class HeightSolver {
   [[nodiscard]] const std::vector<LocalPoly>& polys() const { return polys_; }
 
  private:
+  /// A polygon whose bbox meets the initial outer border of the current
+  /// query, with its nodes' standing against the current outer border.
+  struct Cand {
+    std::size_t idx = 0;     ///< index into polys_
+    std::size_t inside = 0;  ///< nodes strictly inside the outer border
+    double inside_min_y = 0.0;
+  };
+
   /// Step 2: lowest side-edge intersection.
-  [[nodiscard]] double shrink_by_sides(const UraBorders& b,
-                                       const std::vector<std::size_t>& cand) const;
+  [[nodiscard]] double shrink_by_sides(const UraBorders& b) const;
   /// Steps 3+4 interleaved to fixpoint; returns final hob.
-  [[nodiscard]] double shrink_by_nodes(UraBorders b, const std::vector<std::size_t>& cand) const;
+  [[nodiscard]] double shrink_by_nodes(UraBorders b) const;
 
   std::vector<LocalPoly> polys_;
   double half_;
-  index::RangeTree2D node_tree_;  ///< all local nodes, payload = poly index
+  mutable std::vector<Cand> cand_;  ///< per-query scratch, capacity polys_.size()
 };
 
 }  // namespace lmr::core

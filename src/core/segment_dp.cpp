@@ -24,6 +24,17 @@ struct State {
   Transit tr;
 };
 
+/// A pattern's left foot at point j on one side: its best predecessor
+/// (Eq. 8) and the height request that predecessor implies.
+struct Foot {
+  double pred = -1.0;     ///< best predecessor gain
+  double h_request = 0.0;
+  int pi = -1;
+  int pdir = 0;
+  bool connected = false;
+  bool viable = false;    ///< a pattern may start here (node rule, predecessor, need)
+};
+
 int dir_of(int d) { return d == 0 ? 1 : -1; }
 
 }  // namespace
@@ -48,7 +59,49 @@ DpResult run_segment_dp(const DpParams& params, const HeightFn& height) {
   };
   const auto left_node_ok = [&](int j) { return j == 0 || j >= p; };
 
+  // feet[d][j]. A foot's predecessor reads only dp[j-g][d], dp[j-p][1-d] and
+  // dp[j][1-d], all final once point j is, so it is settled then (at the top
+  // of step j+1), once, instead of once per width that lands on it.
+  std::array<std::vector<Foot>, 2> feet;
+  feet[0].resize(static_cast<std::size_t>(n));
+  feet[1].resize(static_cast<std::size_t>(n));
+  const auto settle_feet = [&](int j) {
+    if (!left_node_ok(j)) return;
+    for (int d = 0; d < 2; ++d) {
+      const int od = 1 - d;
+      // --- choose the best valid predecessor (Eq. 8) ---
+      double best_pred = -1.0;
+      int best_pi = -1, best_pdir = d;
+      bool best_connected = false;
+      const auto consider = [&](double gain, int pi, int pdir, bool connected) {
+        if (gain > best_pred + kTieEps ||
+            (gain > best_pred - kTieEps && connected && !best_connected)) {
+          best_pred = gain;
+          best_pi = pi;
+          best_pdir = pdir;
+          best_connected = connected;
+        }
+      };
+      if (j - g >= 0) consider(dp[j - g][d].gain, j - g, d, false);   // (a) p_gap
+      if (j - p >= 0) consider(dp[j - p][od].gain, j - p, od, false); // (b) p_protect
+      if (dp[j][od].through_pattern) consider(dp[j][od].gain, j, od, true);  // (c) p_local
+      if (j == 0) consider(0.0, -1, d, false);  // (d) connect to left node
+      if (best_pred < 0.0) continue;
+
+      // --- height request: remaining requirement after the predecessor ---
+      double h_request =
+          height_for_gain(std::max(0.0, params.needed_gain - best_pred),
+                          params.style, params.miter);
+      if (h_request < params.min_height) {
+        if (params.needed_gain - best_pred <= 0.0) continue;  // nothing needed
+        h_request = params.min_height;  // small remainder: allow the minimum
+      }
+      feet[d][j] = Foot{best_pred, h_request, best_pi, best_pdir, best_connected, true};
+    }
+  };
+
   for (int i = 1; i < n; ++i) {
+    settle_feet(i - 1);
     for (int d = 0; d < 2; ++d) {
       // Eq. 6: carry the previous best along the segment.
       State s = dp[i - 1][d];
@@ -66,44 +119,16 @@ DpResult run_segment_dp(const DpParams& params, const HeightFn& height) {
     const int min_w = std::max(g, p);
     const int max_w = params.max_width_steps > 0 ? std::min(params.max_width_steps, i) : i;
     for (int d = 0; d < 2; ++d) {
-      const int od = 1 - d;
       for (int w = min_w; w <= max_w; ++w) {
         const int j = i - w;
-        if (!left_node_ok(j)) continue;
-
-        // --- choose the best valid predecessor (Eq. 8) ---
-        double best_pred = -1.0;
-        int best_pi = -1, best_pdir = d;
-        bool best_connected = false;
-        const auto consider = [&](double gain, int pi, int pdir, bool connected) {
-          if (gain > best_pred + kTieEps ||
-              (gain > best_pred - kTieEps && connected && !best_connected)) {
-            best_pred = gain;
-            best_pi = pi;
-            best_pdir = pdir;
-            best_connected = connected;
-          }
-        };
-        if (j - g >= 0) consider(dp[j - g][d].gain, j - g, d, false);   // (a) p_gap
-        if (j - p >= 0) consider(dp[j - p][od].gain, j - p, od, false); // (b) p_protect
-        if (dp[j][od].through_pattern) consider(dp[j][od].gain, j, od, true);  // (c) p_local
-        if (j == 0) consider(0.0, -1, d, false);  // (d) connect to left node
-        if (best_pred < 0.0) continue;
-
-        // --- height request: remaining requirement after the predecessor ---
-        double h_request =
-            height_for_gain(std::max(0.0, params.needed_gain - best_pred),
-                            params.style, params.miter);
-        if (h_request < params.min_height) {
-          if (params.needed_gain - best_pred <= 0.0) continue;  // nothing needed
-          h_request = params.min_height;  // small remainder: allow the minimum
-        }
-        const double h = height(j, i, dir_of(d), h_request);
+        const Foot& f = feet[d][j];
+        if (!f.viable) continue;
+        const double h = height(j, i, dir_of(d), f.h_request);
         if (h < params.min_height) continue;
         const double gain = pattern_gain(h, params.style, params.miter);
         if (gain <= 0.0) continue;
 
-        const double total = best_pred + gain;
+        const double total = f.pred + gain;
         State& cur = dp[i][d];
         const bool better = total > cur.gain + kTieEps;
         const bool tie_preferred =
@@ -111,7 +136,7 @@ DpResult run_segment_dp(const DpParams& params, const HeightFn& height) {
         if (better || tie_preferred) {
           cur.gain = total;
           cur.through_pattern = true;
-          cur.tr = Transit{best_pi, best_pdir, w, h, best_connected};
+          cur.tr = Transit{f.pi, f.pdir, w, h, f.connected};
         }
       }
     }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "geom/distance.hpp"
 #include "layout/clearance_index.hpp"
@@ -13,6 +14,26 @@ namespace {
 using geom::Point;
 using geom::Segment;
 using geom::Vec2;
+
+/// Bbox prefilter margin of the per-net checks: three orders above kEps, and
+/// far above the rounding of the exact predicates at any board scale.
+constexpr double kPrefilterMargin = 1e-6;
+
+bool is_finite(const Point& p) { return std::isfinite(p.x) && std::isfinite(p.y); }
+
+/// Every point outside this box is neither inside `poly` nor within kEps of
+/// its boundary, so Polygon::contains(p, false) is false there. The box is
+/// the whole plane when a vertex is not finite: Box::expand drops NaN, the
+/// ray cast does not.
+geom::Box hole_reach(const geom::Polygon& poly) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  geom::Box b;
+  for (const Point& p : poly.points()) {
+    if (!is_finite(p)) return {{-kInf, -kInf}, {kInf, kInf}};
+    b.expand(p);
+  }
+  return b.inflated(kPrefilterMargin);
+}
 
 /// Length of the mutual parallel overlap between two segments: the overlap
 /// of s2's projection onto s1's axis with s1's own extent (and vice versa;
@@ -81,8 +102,22 @@ std::vector<Violation> DrcChecker::check_trace(const Trace& t,
   // meeting at wider angles (corner necks, perpendicular legs at joints)
   // are legal down to d_protect by the paper's transition rules.
   constexpr double kNearParallel = 0.866;
+  // A pair's distance is at least its bboxes' separation on either axis, so
+  // a pair separated by more than `skip_beyond` passes the first test below
+  // whether or not d is computed. A non-finite coordinate turns the
+  // prefilter off: d may then be NaN, and a NaN d never passes that test.
+  const double skip_beyond = gap - opts_.tolerance + kPrefilterMargin;
+  std::vector<geom::Box> boxes(n);
+  for (std::size_t i = 0; i < n; ++i) boxes[i] = path.segment(i).bbox();
+  const bool prefilter = std::all_of(path.points().begin(), path.points().end(), is_finite);
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = i + 2; j < n; ++j) {
+      const geom::Box& bi = boxes[i];
+      const geom::Box& bj = boxes[j];
+      if (prefilter && std::max({bi.lo.x - bj.hi.x, bj.lo.x - bi.hi.x, bi.lo.y - bj.hi.y,
+                                 bj.lo.y - bi.hi.y}) > skip_beyond) {
+        continue;
+      }
       const Segment si = path.segment(i);
       const Segment sj = path.segment(j);
       const double d = geom::dist_segment_segment(si, sj);
@@ -169,15 +204,28 @@ std::vector<Violation> DrcChecker::check_containment(const Trace& t,
                                                      const RoutableArea& area) const {
   std::vector<Violation> out;
   if (area.outline.empty()) return out;
+  // RoutableArea::contains, with each hole tested only where it can answer
+  // true.
+  std::vector<geom::Box> reach(area.holes.size());
+  for (std::size_t h = 0; h < area.holes.size(); ++h) reach[h] = hole_reach(area.holes[h]);
+  const auto contains = [&](const Point& p) {
+    if (!area.outline.contains(p)) return false;
+    for (std::size_t h = 0; h < area.holes.size(); ++h) {
+      if (reach[h].contains(p) && area.holes[h].contains(p, /*boundary_inside=*/false)) {
+        return false;
+      }
+    }
+    return true;
+  };
   for (std::size_t i = 0; i < t.path.size(); ++i) {
-    if (!area.contains(t.path[i])) {
+    if (!contains(t.path[i])) {
       out.push_back({ViolationKind::AreaContainment, t.id, 0, i, 0, 0.0, 0.0,
                      "vertex outside routable area"});
     }
   }
   for (std::size_t i = 0; i < t.path.segment_count(); ++i) {
     const Point mid = t.path.segment(i).midpoint();
-    if (!area.contains(mid)) {
+    if (!contains(mid)) {
       out.push_back({ViolationKind::AreaContainment, t.id, 0, i, 0, 0.0, 0.0,
                      "segment midpoint outside routable area"});
     }

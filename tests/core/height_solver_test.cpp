@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cmath>
+#include <limits>
 #include <random>
+
+#include "geom/intersect.hpp"
 
 namespace lmr::core {
 namespace {
@@ -174,23 +179,208 @@ TEST(HeightSolver, ForSegmentTransformsEnvironment) {
   EXPECT_DOUBLE_EQ(down.max_height(3.0, 9.0, 8.0), 8.0);
 }
 
+/// Reference with the solver's pre-prefilter semantics: every node of every
+/// polygon classified against the outer border (what a range tree over all
+/// local nodes reported) and an unfiltered segment_intersection on every
+/// candidate edge. It performs the same double operations on every value it
+/// keeps, so the solver must return exactly its result.
+double reference_max_height(const HeightSolver& s, double x0, double x1, double h_request) {
+  constexpr double kStrict = 1e-9;
+  const auto strictly_inside = [](const geom::Box& outer, const Point& p) {
+    return p.x > outer.lo.x + kStrict && p.x < outer.hi.x - kStrict && p.y > kStrict &&
+           p.y < outer.hi.y - kStrict;
+  };
+  const auto inside_inner = [](const geom::Box& inner, const Point& p) {
+    return p.x >= inner.lo.x - kStrict && p.x <= inner.hi.x + kStrict && p.y >= -kStrict &&
+           p.y <= inner.hi.y + kStrict;
+  };
+  const std::vector<LocalPoly>& polys = s.polys();
+  const double half = s.half();
+  if (h_request <= 0.0 || x1 - x0 <= kStrict) return 0.0;
+  UraBorders b{x0, x1, half, h_request + half};
+  const geom::Box outer = b.outer();
+  std::vector<std::size_t> cand;
+  for (std::size_t i = 0; i < polys.size(); ++i) {
+    if (polys[i].bbox.intersects(outer, kStrict)) cand.push_back(i);
+  }
+  if (cand.empty()) return b.pattern_height();
+  for (std::size_t idx : cand) {
+    const LocalPoly& lp = polys[idx];
+    if (lp.kind == EnvKind::AreaOutline) continue;
+    if (lp.bbox.lo.y < -kStrict && lp.bbox.hi.y > kStrict &&
+        lp.bbox.lo.x < outer.hi.x - kStrict && lp.bbox.hi.x > outer.lo.x + kStrict) {
+      return 0.0;
+    }
+  }
+
+  double hob = b.hob;
+  const geom::Segment left{{outer.lo.x, 0.0}, {outer.lo.x, b.hob}};
+  const geom::Segment right{{outer.hi.x, 0.0}, {outer.hi.x, b.hob}};
+  for (std::size_t idx : cand) {
+    const geom::Polygon& poly = polys[idx].poly;
+    for (std::size_t e = 0; e < poly.size(); ++e) {
+      if (auto p = geom::segment_intersection(poly.edge(e), left)) hob = std::min(hob, p->y);
+      if (auto p = geom::segment_intersection(poly.edge(e), right)) hob = std::min(hob, p->y);
+    }
+  }
+  b.hob = hob;
+  if (b.hob <= half) return 0.0;
+
+  std::vector<std::size_t> count(polys.size());
+  std::vector<double> min_y(polys.size());
+  while (b.hob > kStrict) {
+    const geom::Box now = b.outer();
+    for (std::size_t i = 0; i < polys.size(); ++i) {
+      count[i] = 0;
+      min_y[i] = std::numeric_limits<double>::infinity();
+      for (const Point& p : polys[i].poly.points()) {
+        if (!strictly_inside(now, p)) continue;
+        count[i] += 1;
+        min_y[i] = std::min(min_y[i], p.y);
+      }
+    }
+    double new_hob = b.hob;
+    for (std::size_t idx : cand) {
+      if (count[idx] == 0 || count[idx] == polys[idx].poly.size()) continue;
+      new_hob = std::min(new_hob, min_y[idx]);
+    }
+    if (new_hob < b.hob - kStrict) {
+      b.hob = new_hob;
+      continue;
+    }
+    const geom::Box inner = b.inner();
+    const bool inner_usable = !b.inner_empty();
+    for (std::size_t idx : cand) {
+      const LocalPoly& lp = polys[idx];
+      if (count[idx] != lp.poly.size() || lp.poly.empty()) continue;
+      bool ok = inner_usable && lp.kind == EnvKind::Obstacle;
+      for (std::size_t k = 0; ok && k < lp.poly.size(); ++k) ok = inside_inner(inner, lp.poly[k]);
+      if (!ok) new_hob = std::min(new_hob, lp.min_y);
+    }
+    if (new_hob >= b.hob - kStrict) break;
+    b.hob = new_hob;
+  }
+  b.hob = std::max(b.hob, 0.0);
+  return b.pattern_height();
+}
+
 TEST(HeightSolver, ExhaustiveOracleAgreesOnRandomScenes) {
   // Property: the fast shrinking result is always valid per the oracle, and
   // on scenes without enclosable obstacles it is maximal (validity is
-  // monotone there).
+  // monotone there). Checked on the obstacle-only trials below.
+  //
+  // Differential: on every trial, at scales 1, 1e-3 and 1e4, max_height
+  // equals reference_max_height exactly. Trials from 60 on add an area
+  // outline, self-URAs, polygons straddling the base line, rotated quads,
+  // and probe rectangles whose edges lie exactly on a URA side's abscissa
+  // or top, or kEps / 1e-7 off it.
   std::mt19937_64 rng(7);
   std::uniform_real_distribution<double> ux(0.0, 20.0);
   std::uniform_real_distribution<double> uy(1.2, 9.0);
   std::uniform_real_distribution<double> usz(0.8, 3.0);
-  for (int trial = 0; trial < 60; ++trial) {
-    std::vector<LocalPoly> polys;
+  std::uniform_real_distribution<double> u01(0.0, 1.0);
+  constexpr std::array<double, 7> kOffsets{0.0,  geom::kEps, -geom::kEps,     1e-7,
+                                           -1e-7, geom::kEps / 2, -geom::kEps / 2};
+  constexpr std::array<double, 3> kScales{1.0, 1e-3, 1e4};
+  int compared = 0, shrunk = 0;
+  for (int trial = 0; trial < 300; ++trial) {
+    // Unit-scale scene; probes are placed per scale below.
+    std::vector<LocalPoly> scene;
     const int n_obs = 1 + static_cast<int>(trial % 4);
     for (int k = 0; k < n_obs; ++k) {
       const double x = ux(rng), y = uy(rng), w = usz(rng), hgt = usz(rng);
-      polys.push_back(obstacle(Polygon::rect({{x, y}, {x + w, y + hgt}})));
+      scene.push_back(obstacle(Polygon::rect({{x, y}, {x + w, y + hgt}})));
     }
-    HeightSolver s(std::move(polys), kHalf);
-    const double x0 = 2.0, x1 = 2.0 + 2.0 + (trial % 5);
+    // Queries: the original fixed one, then random feet and requests.
+    std::vector<std::array<double, 3>> queries{{2.0, 2.0 + 2.0 + (trial % 5), 7.5}};
+    const bool mixed = trial >= 60;
+    if (mixed) {
+      if (trial % 3 != 0) {
+        const double top = trial % 3 == 1 ? 20.0 : 3.0 + 6.0 * u01(rng);
+        scene.push_back(wall(Polygon::rect({{-5.0, -5.0}, {30.0, top}})));
+      }
+      for (int k = 0; k < static_cast<int>(trial % 3); ++k) {
+        // URA of an adjacent segment leaving a base end at some angle.
+        const double ang = 3.14159 * u01(rng);
+        const Point at{k == 0 ? 0.0 : 20.0, 0.0};
+        const Point to = at + geom::Vec2{std::cos(ang), std::sin(ang)} * (1.0 + 6.0 * u01(rng));
+        LocalPoly lp;
+        lp.poly = ura_of_segment({at, to}, kHalf);
+        lp.kind = EnvKind::SelfUra;
+        scene.push_back(std::move(lp));
+      }
+      if (trial % 4 == 1) {
+        // Straddles the base line (forces 0 wherever the feet span it).
+        const double x = ux(rng);
+        scene.push_back(obstacle(Polygon::rect({{x, -1.0}, {x + usz(rng), 1.0}})));
+      }
+      if (trial % 5 == 2) {
+        // Rotated quad: edges at every slope.
+        const Point c{ux(rng), uy(rng)};
+        const double r = usz(rng), a = u01(rng);
+        scene.push_back(obstacle(Polygon::regular(c, r, 4, a)));
+      }
+      if (trial % 7 == 3) {
+        // A node at x = +inf: segment_intersection gives its edge from (xr,
+        // 3) the finite y = 3 on both sides, far as xr is from them, so it
+        // must not be prefiltered. The third node keeps it a candidate.
+        const double xr = queries[0][1] + kHalf;
+        const double inf = std::numeric_limits<double>::infinity();
+        scene.push_back(obstacle(Polygon{{{xr + 10.0, 3.0}, {inf, 3.0}, {xr - 1.0, 5.0}}}));
+      }
+      for (int q = 0; q < 4; ++q) {
+        const double x0 = 20.0 * u01(rng);
+        queries.push_back({x0, x0 + 0.2 + 8.0 * u01(rng), 0.2 + 10.0 * u01(rng)});
+      }
+    }
+    const std::size_t probe_seed = static_cast<std::size_t>(trial);
+    for (const double scale : kScales) {
+      std::vector<LocalPoly> polys;
+      for (const LocalPoly& lp : scene) {
+        LocalPoly scaled = lp;
+        for (Point& p : scaled.poly.points()) p = p * scale;
+        polys.push_back(std::move(scaled));
+      }
+      const double half = kHalf * scale;
+      if (mixed) {
+        // Probe rectangles on the first two queries' sides and tops.
+        for (std::size_t q = 0; q < 2; ++q) {
+          const double x0 = queries[q][0] * scale, x1 = queries[q][1] * scale;
+          const double top = queries[q][2] * scale + half;
+          const double off = kOffsets[(probe_seed + q) % kOffsets.size()];
+          const double lo_y = (0.5 + q) * scale, hi_y = (2.5 + 3.0 * q) * scale;
+          // Horizontal edges ending at the left side's abscissa (body
+          // outside the border) and at the right side's (body inside).
+          const double xl = (x0 - half) + off;
+          polys.push_back(obstacle(Polygon::rect({{xl - scale, lo_y}, {xl, hi_y}})));
+          const double xr = (x1 + half) + off;
+          polys.push_back(obstacle(Polygon::rect({{xr - 0.3 * scale, lo_y}, {xr, hi_y}})));
+          // Horizontal edge on the sides' top, across both sides.
+          polys.push_back(obstacle(
+              Polygon::rect({{x0 - 2.0 * scale, top + off}, {x1 + 2.0 * scale, top + scale}})));
+          // Horizontal edge on the base line, across the left side, body
+          // below it.
+          if (trial % 2 == 1) {
+            polys.push_back(obstacle(
+                Polygon::rect({{x0 - half - scale, -scale}, {x0 - half + scale, off}})));
+          }
+        }
+      }
+      const HeightSolver s(std::move(polys), half);
+      for (const auto& [x0u, x1u, hu] : queries) {
+        const double x0 = x0u * scale, x1 = x1u * scale, req = hu * scale;
+        const double got = s.max_height(x0, x1, req);
+        const double want = reference_max_height(s, x0, x1, req);
+        ASSERT_EQ(got, want) << "trial " << trial << " scale " << scale << " feet " << x0
+                             << ".." << x1 << " request " << req;
+        ++compared;
+        shrunk += got > 0.0 && got < req ? 1 : 0;
+      }
+    }
+    if (mixed) continue;
+
+    const HeightSolver s(scene, kHalf);
+    const double x0 = queries[0][0], x1 = queries[0][1];
     const double h = s.max_height(x0, x1, 7.5);
     if (h > 0.0) {
       EXPECT_TRUE(s.valid_exhaustive(x0, x1, h)) << "trial " << trial << " h=" << h;
@@ -216,6 +406,7 @@ TEST(HeightSolver, ExhaustiveOracleAgreesOnRandomScenes) {
       }
     }
   }
+  EXPECT_GT(shrunk, compared / 4);  // most queries exercise the shrinking
 }
 
 }  // namespace

@@ -2,10 +2,141 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <random>
+#include <tuple>
 
 namespace lmr::core {
 namespace {
+
+/// Brute-force reference: run_segment_dp as it was before the Eq. 8
+/// predecessor was hoisted out of the width loop, kept verbatim. It picks
+/// the predecessor again for every (i, d, width).
+namespace reference {
+
+constexpr double kTieEps = 1e-12;
+
+struct Transit {
+  int pi = -1;
+  int pdir = 0;
+  int w = 0;
+  double h = 0.0;
+  bool connected = false;
+};
+
+struct State {
+  double gain = 0.0;
+  bool through_pattern = false;
+  Transit tr;
+};
+
+int dir_of(int d) { return d == 0 ? 1 : -1; }
+
+DpResult run_segment_dp(const DpParams& params, const HeightFn& height) {
+  DpResult result;
+  const int n = params.n;
+  if (n < 2) return result;
+  const int g = std::max(1, params.gap_steps);
+  const int p = std::max(1, params.protect_steps);
+
+  std::vector<std::array<State, 2>> dp(static_cast<std::size_t>(n));
+  for (int d = 0; d < 2; ++d) {
+    dp[0][d].gain = 0.0;
+    dp[0][d].tr = Transit{};
+  }
+
+  const auto right_node_ok = [&](int i) { return i == n - 1 || (n - 1 - i) >= p; };
+  const auto left_node_ok = [&](int j) { return j == 0 || j >= p; };
+
+  for (int i = 1; i < n; ++i) {
+    for (int d = 0; d < 2; ++d) {
+      State s = dp[i - 1][d];
+      s.through_pattern = false;
+      s.tr = Transit{i - 1, d, 0, 0.0, false};
+      if (i - 1 == 0) s.tr.pi = -1;
+      dp[i][d] = s;
+    }
+    if (!right_node_ok(i)) continue;
+
+    const int min_w = std::max(g, p);
+    const int max_w = params.max_width_steps > 0 ? std::min(params.max_width_steps, i) : i;
+    for (int d = 0; d < 2; ++d) {
+      const int od = 1 - d;
+      for (int w = min_w; w <= max_w; ++w) {
+        const int j = i - w;
+        if (!left_node_ok(j)) continue;
+
+        double best_pred = -1.0;
+        int best_pi = -1, best_pdir = d;
+        bool best_connected = false;
+        const auto consider = [&](double gain, int pi, int pdir, bool connected) {
+          if (gain > best_pred + kTieEps ||
+              (gain > best_pred - kTieEps && connected && !best_connected)) {
+            best_pred = gain;
+            best_pi = pi;
+            best_pdir = pdir;
+            best_connected = connected;
+          }
+        };
+        if (j - g >= 0) consider(dp[j - g][d].gain, j - g, d, false);
+        if (j - p >= 0) consider(dp[j - p][od].gain, j - p, od, false);
+        if (dp[j][od].through_pattern) consider(dp[j][od].gain, j, od, true);
+        if (j == 0) consider(0.0, -1, d, false);
+        if (best_pred < 0.0) continue;
+
+        double h_request =
+            height_for_gain(std::max(0.0, params.needed_gain - best_pred),
+                            params.style, params.miter);
+        if (h_request < params.min_height) {
+          if (params.needed_gain - best_pred <= 0.0) continue;
+          h_request = params.min_height;
+        }
+        const double h = height(j, i, dir_of(d), h_request);
+        if (h < params.min_height) continue;
+        const double gain = pattern_gain(h, params.style, params.miter);
+        if (gain <= 0.0) continue;
+
+        const double total = best_pred + gain;
+        State& cur = dp[i][d];
+        const bool better = total > cur.gain + kTieEps;
+        const bool tie_preferred = total > cur.gain - kTieEps && !cur.through_pattern;
+        if (better || tie_preferred) {
+          cur.gain = total;
+          cur.through_pattern = true;
+          cur.tr = Transit{best_pi, best_pdir, w, h, best_connected};
+        }
+      }
+    }
+  }
+
+  const int best_d = dp[n - 1][0].gain >= dp[n - 1][1].gain ? 0 : 1;
+  result.gain = dp[n - 1][best_d].gain;
+  if (result.gain <= 0.0) return result;
+
+  int i = n - 1, d = best_d;
+  while (i > 0) {
+    const Transit& tr = dp[i][d].tr;
+    if (tr.w > 0) {
+      result.patterns.push_back(Pattern{i - tr.w, i, tr.h, dir_of(d)});
+      if (tr.pi < 0) break;
+      i = tr.pi;
+      d = tr.pdir;
+    } else {
+      if (tr.pi < 0) break;
+      i = tr.pi;
+      d = tr.pdir;
+    }
+  }
+  std::reverse(result.patterns.begin(), result.patterns.end());
+  return result;
+}
+
+}  // namespace reference
 
 DpParams base_params(int n) {
   DpParams p;
@@ -190,6 +321,97 @@ TEST(SegmentDp, MiteredGainAccounting) {
     total += pattern_gain(pat.height, PatternStyle::Mitered, 0.4);
   }
   EXPECT_NEAR(total, r.gain, 1e-9);
+}
+
+/// One height query as the DP issued it; h_request kept as bits.
+using Query = std::tuple<int, int, int, std::uint64_t>;
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+/// Seeded height callback of one of several kinds, a pure function of
+/// (j, i, dir, h_request) so both DPs see the same answers for the same
+/// questions. Heights come from a small grid so equal gains (ties) are
+/// common.
+HeightFn seeded_heights(int kind, std::uint64_t seed, double min_height,
+                        std::vector<Query>* log) {
+  return [=](int j, int i, int dir, double req) {
+    log->emplace_back(j, i, dir, bits(req));
+    std::uint64_t x = seed ^ (static_cast<std::uint64_t>(j) * 0x9E3779B97F4A7C15ULL) ^
+                      (static_cast<std::uint64_t>(i) * 0xC2B2AE3D27D4EB4FULL) ^
+                      (dir > 0 ? 0x165667B19E3779F9ULL : 0);
+    x ^= x >> 31;
+    x *= 0xBF58476D1CE4E5B9ULL;
+    x ^= x >> 29;
+    const double grid = 0.5 * static_cast<double>(1 + x % 8);  // 0.5 .. 4.0
+    switch (kind) {
+      case 0: return std::min(req, grid);                          // caps at the request
+      case 1: return grid;                                         // ignores the request
+      case 2: return x % 3 == 0 ? 0.5 * min_height : std::min(req, grid);  // below minimum
+      case 3: return (j + i) % 5 == 0 ? 0.0 : (dir > 0 ? std::min(req, 3.0) : 1.5);
+      case 4: return req;                                          // grants every request
+      default:                                                     // NaN and inf answers
+        return x % 7 == 0   ? std::numeric_limits<double>::quiet_NaN()
+               : x % 7 == 1 ? std::numeric_limits<double>::infinity()
+                            : std::min(req, grid);
+    }
+  };
+}
+
+TEST(SegmentDp, MatchesPerWidthPredecessorReference) {
+  // Differential test against the reference above: bit-equal gain, equal
+  // pattern chains and the identical sequence of height queries, over
+  // seeded parameters spanning both node rules, width caps, need signs,
+  // minimum heights, both pattern styles and every callback kind.
+  std::mt19937_64 rng(19);
+  std::uniform_int_distribution<int> steps(1, 6);
+  std::uniform_int_distribution<int> kind_of(0, 5);
+  int cases = 0;
+  for (int c = 0; c < 3000; ++c) {
+    DpParams p;
+    const int size_class = c % 20;
+    std::uniform_int_distribution<int> n_of(2, size_class == 0 ? 300 : size_class < 6 ? 120 : 40);
+    p.n = n_of(rng);
+    p.step = 1.0;
+    p.gap_steps = steps(rng);
+    p.protect_steps = steps(rng);
+    p.min_height = c % 3 == 0 ? 0.0 : 0.5 * steps(rng);
+    switch (c % 5) {
+      case 0: p.needed_gain = 0.0; break;
+      case 1: p.needed_gain = -2.5; break;
+      case 2: p.needed_gain = 0.5 * steps(rng) * steps(rng); break;
+      case 3: p.needed_gain = 1e9; break;
+      default: p.needed_gain = c % 2 == 0 ? 1e9 : std::numeric_limits<double>::quiet_NaN();
+    }
+    p.max_width_steps = (c / 4) % 2 == 0 ? 0 : std::uniform_int_distribution<int>(1, 24)(rng);
+    if ((c / 8) % 2 == 1) {
+      p.style = PatternStyle::Mitered;
+      p.miter = 0.1 * steps(rng);
+    }
+    const int kind = kind_of(rng);
+    const std::uint64_t seed = rng();
+    std::vector<Query> got_log, want_log;
+    const DpResult got = run_segment_dp(p, seeded_heights(kind, seed, p.min_height, &got_log));
+    const DpResult want =
+        reference::run_segment_dp(p, seeded_heights(kind, seed, p.min_height, &want_log));
+    const auto where = [&] {
+      return ::testing::Message() << "case " << c << " kind " << kind << " n " << p.n
+                                  << " g " << p.gap_steps << " p " << p.protect_steps
+                                  << " need " << p.needed_gain << " min_h " << p.min_height
+                                  << " max_w " << p.max_width_steps;
+    };
+    ASSERT_EQ(bits(got.gain), bits(want.gain)) << where();
+    ASSERT_EQ(got.patterns.size(), want.patterns.size()) << where();
+    for (std::size_t k = 0; k < got.patterns.size(); ++k) {
+      const Pattern& a = got.patterns[k];
+      const Pattern& b = want.patterns[k];
+      ASSERT_EQ(std::tie(a.foot_lo, a.foot_hi, a.dir), std::tie(b.foot_lo, b.foot_hi, b.dir))
+          << where() << " pattern " << k;
+      ASSERT_EQ(bits(a.height), bits(b.height)) << where() << " pattern " << k;
+    }
+    ASSERT_EQ(got_log, want_log) << where();
+    cases += got.patterns.empty() ? 0 : 1;
+  }
+  EXPECT_GT(cases, 1000);  // most cases place patterns, so chains are compared
 }
 
 TEST(SegmentDp, DeterministicAcrossRuns) {
