@@ -1,14 +1,20 @@
 /// \file micro_index.cpp
 /// Microbenchmarks for the uniform segment grid (O(1) insert/remove,
 /// O(cells + k) window visits) behind layout::ClearanceIndex. The
-/// ClearanceSweep trio times that index's sweep cold / warm / one-dirty.
+/// ClearanceSweep trio times that index's sweep cold / warm / one-dirty on
+/// a synthetic worst case; BM_ClearanceSweepOneGroup re-sweeps a routed
+/// board after one group's re-insert.
 
 #include <benchmark/benchmark.h>
 
 #include <random>
+#include <utility>
+#include <vector>
 
 #include "index/seg_grid.hpp"
 #include "layout/clearance_index.hpp"
+#include "pipeline/router.hpp"
+#include "scenario/scenario_families.hpp"
 
 namespace {
 
@@ -68,10 +74,12 @@ BENCHMARK(BM_SegGridQuerySmallWindow)
 /// Three regimes — cold (every sweep re-indexes everything, the pre-cache
 /// behaviour), warm (nothing changed; cached violations returned verbatim),
 /// and one-dirty (a single trace re-inserted per sweep; the grid
-/// re-registers that slot's segments). The fixture is the grid's worst
-/// case, not a routed board: each trace is one 400-long straight segment,
-/// so with cells sized to the 1.2 worst-case gap one segment spans ~330
-/// cells. Routed traces are meander legs of a few cells each.
+/// re-registers that slot's segments and only that slot re-queries, so the
+/// cost no longer grows with n). The fixture is the grid's worst case, not
+/// a routed board: each trace is one 400-long straight segment, so with
+/// cells sized to the 1.2 worst-case gap one segment spans ~330 cells.
+/// Routed traces are meander legs of a few cells each; BM_ClearanceSweepOneGroup
+/// times those.
 struct SweepFixture {
   lmr::drc::DesignRules rules;
   std::vector<lmr::layout::Trace> traces;
@@ -134,6 +142,51 @@ void BM_ClearanceSweepOneDirty(benchmark::State& state) {
   state.SetComplexityN(state.range(0));
 }
 BENCHMARK(BM_ClearanceSweepOneDirty)->RangeMultiplier(16)->Range(16, 4096)->Complexity();
+
+/// The regime an edit stream hits: the smoke mega_board (8 groups x 32
+/// nets) routed once and indexed in the Session::board_clearance slot shape
+/// (members in group order, one net per member, a pair's sub-traces two
+/// slots of one net). Each iteration re-inserts the next group's slots, as
+/// a reroute of that group does, and sweeps.
+void BM_ClearanceSweepOneGroup(benchmark::State& state) {
+  using lmr::layout::Trace;
+  lmr::scenario::Scenario sc =
+      lmr::scenario::materialize(lmr::scenario::family("mega_board", true).cases.at(0));
+  lmr::pipeline::RouterOptions opts;
+  opts.extender.l_disc = 0.5;
+  opts.extender.max_width_steps = 24;
+  opts.run_drc = false;
+  (void)lmr::pipeline::Router(sc.rules, opts).route_all(sc.layout);
+
+  lmr::layout::ClearanceIndex index(sc.rules, opts.drc);
+  std::vector<std::vector<std::pair<std::uint32_t, const Trace*>>> groups;
+  std::uint32_t net = 0;
+  for (const lmr::layout::MatchGroup& g : sc.layout.groups()) {
+    auto& slots = groups.emplace_back();
+    for (const lmr::layout::GroupMember& m : g.members) {
+      if (m.kind == lmr::layout::MemberKind::SingleEnded) {
+        const Trace& t = sc.layout.trace(m.id);
+        slots.emplace_back(index.add_slot(t.width, net), &t);
+      } else {
+        const lmr::layout::DiffPair& pair = sc.layout.pair(m.id);
+        slots.emplace_back(index.add_slot(pair.positive.width, net), &pair.positive);
+        slots.emplace_back(index.add_slot(pair.negative.width, net), &pair.negative);
+      }
+      ++net;
+    }
+  }
+  for (const auto& slots : groups) {
+    for (const auto& [slot, t] : slots) index.insert(slot, *t);
+  }
+  benchmark::DoNotOptimize(index.sweep().size());
+  std::size_t g = 0;
+  for (auto _ : state) {
+    for (const auto& [slot, t] : groups[g]) index.insert(slot, *t);
+    g = (g + 1) % groups.size();
+    benchmark::DoNotOptimize(index.sweep().size());
+  }
+}
+BENCHMARK(BM_ClearanceSweepOneGroup)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

@@ -110,8 +110,8 @@ void SegGrid::remove(std::uint32_t id) {
     entries.erase(std::remove(entries.begin(), entries.end(), id), entries.end());
     // max_payload intentionally left stale-high: recomputing would make
     // remove O(cell population); a too-high max only weakens the
-    // visit_above prune, never its correctness.
-    if (entries.empty()) cells_.erase(it);
+    // visit_above prune, never its correctness. An emptied cell stays, so
+    // re-inserting into it reuses its storage instead of re-hashing it.
   }
   rec.cells.clear();
   rec.live = false;

@@ -18,6 +18,9 @@
 ///  - `visit_above` additionally skips whole cells whose max payload is below
 ///    the floor (per-cell metadata predicate); the max is left stale-high
 ///    after removals, which only costs visits, never correctness.
+///  - `remove` keeps the cells it empties, so `cells_` holds every cell any
+///    entry was ever registered in (until `reset`). Re-inserting a removed
+///    segment reuses its cells; an empty cell costs a query one hash hit.
 ///
 /// Queries mutate the internal dedup stamps, so a SegGrid must not be
 /// queried from two threads at once. Both clients query behind a barrier
@@ -52,7 +55,8 @@ class SegGrid {
   /// `remove`; ids are recycled after removal.
   std::uint32_t insert(const geom::Segment& seg, std::uint64_t payload);
 
-  /// Remove a previously inserted entry by id.
+  /// Remove a previously inserted entry by id. The cells it leaves empty
+  /// are kept.
   void remove(std::uint32_t id);
 
   [[nodiscard]] std::size_t size() const { return live_; }

@@ -79,67 +79,99 @@ std::vector<Violation> ClearanceIndex::sweep() const {
   for (const Slot& s : slots_) inserted += s.trace != nullptr ? 1 : 0;
   if (inserted < 2) {
     result_.clear();
+    result_keys_.clear();
     result_epochs_ = slot_epoch_;
     return result_;
   }
 
   refresh_grid();
 
-  // Collect candidate pairs: each segment window-queries the grid for
-  // segments of higher slots only, so every pair is found exactly once, by
-  // its lower slot. The grid stores whole segments, so the window needs no
-  // slack beyond the widest gap: if two segments are closer than their gap
-  // (<= gap_max), the other segment has a point inside this one's bbox
-  // inflated by gap_max.
-  struct Candidate {
-    std::uint32_t slot_a, slot_b, seg_a, seg_b;
-    bool operator<(const Candidate& o) const {
-      if (slot_a != o.slot_a) return slot_a < o.slot_a;
-      if (slot_b != o.slot_b) return slot_b < o.slot_b;
-      if (seg_a != o.seg_a) return seg_a < o.seg_a;
-      return seg_b < o.seg_b;
-    }
-    bool operator==(const Candidate&) const = default;
-  };
-  std::vector<Candidate> candidates;
+  // A slot is dirty when its epoch moved since the cached result, or when
+  // it was declared after it. A removed slot is dirty and holds no trace.
+  const auto n = static_cast<std::uint32_t>(slots_.size());
+  std::vector<bool> dirty(n);
+  std::uint32_t first_clean = n;
+  for (std::uint32_t t = 0; t < n; ++t) {
+    dirty[t] = t >= result_epochs_.size() || slot_epoch_[t] != result_epochs_[t];
+    if (!dirty[t]) first_clean = std::min(first_clean, t);
+  }
+
+  // Collect candidate pairs: each segment of a dirty slot window-queries
+  // the grid. A pair of two dirty slots is found by its lower slot only and
+  // a dirty-clean pair by its dirty side, so every pair is found once. The
+  // payload floor skips the slots below both t + 1 and the first clean
+  // slot; with no clean slot (a cold sweep) that leaves the slots above t.
+  // The grid stores whole segments, so the window needs no slack beyond the
+  // widest gap: if two segments are closer than their gap (<= gap_max), the
+  // other segment has a point inside this one's bbox inflated by gap_max.
+  std::vector<PairKey> candidates;
   const double inflate = rules_.gap + max_width_ + opts_.tolerance + 1e-9;
-  for (std::uint32_t t = 0; t < slots_.size(); ++t) {
+  for (std::uint32_t t = 0; t < n; ++t) {
     const Slot& s = slots_[t];
-    if (s.trace == nullptr) continue;
+    if (!dirty[t] || s.trace == nullptr) continue;
     const geom::Polyline& path = s.trace->path;
-    const std::uint64_t floor = (static_cast<std::uint64_t>(t) + 1) << 32;
+    const std::uint64_t floor = static_cast<std::uint64_t>(std::min(first_clean, t + 1)) << 32;
     for (std::uint32_t seg_idx = 0; seg_idx < path.segment_count(); ++seg_idx) {
       const geom::Box window = path.segment(seg_idx).bbox().inflated(inflate);
       grid_.visit_above(window, floor, [&](const index::SegGrid::Entry& e) {
-        // The payload floor already guarantees other slot > t.
-        const auto slot_b = static_cast<std::uint32_t>(e.payload >> 32);
-        if (slots_[slot_b].net == s.net) return true;
-        candidates.push_back(
-            {t, slot_b, seg_idx, static_cast<std::uint32_t>(e.payload & 0xffffffffu)});
+        const auto u = static_cast<std::uint32_t>(e.payload >> 32);
+        const auto seg_u = static_cast<std::uint32_t>(e.payload & 0xffffffffu);
+        // Same net covers u == t; a lower dirty slot already queried t.
+        if (slots_[u].net == s.net || (u < t && dirty[u])) return true;
+        candidates.push_back(t < u ? PairKey{t, u, seg_idx, seg_u}
+                                   : PairKey{u, t, seg_u, seg_idx});
         return true;
       });
     }
   }
-  // Each (slot a, segment a) is one query and the grid reports an entry at
-  // most once per query, so sorting alone yields the distinct candidates in
-  // the brute-force loop's order.
+  // Each (dirty slot, segment) is one query, the grid reports an entry at
+  // most once per query and each pair has one querying side, so sorting
+  // alone yields the distinct candidates in the brute-force loop's order.
   std::sort(candidates.begin(), candidates.end());
   LMR_ASSERT(std::adjacent_find(candidates.begin(), candidates.end()) == candidates.end(),
              "the grid reports each segment pair once");
 
-  std::vector<Violation> out;
-  for (const Candidate& c : candidates) {
+  std::vector<Violation> fresh;
+  std::vector<PairKey> fresh_keys;
+  for (const PairKey& c : candidates) {
     const Trace& a = *slots_[c.slot_a].trace;
     const Trace& b = *slots_[c.slot_b].trace;
     const double gap = rules_.gap + (a.width + b.width) / 2.0;
     const double d =
         geom::dist_segment_segment(a.path.segment(c.seg_a), b.path.segment(c.seg_b));
     if (d + opts_.tolerance < gap) {
-      out.push_back({ViolationKind::TraceGap, a.id, b.id, c.seg_a, c.seg_b, d, gap,
-                     "segments of different traces closer than gap"});
+      fresh.push_back({ViolationKind::TraceGap, a.id, b.id, c.seg_a, c.seg_b, d, gap,
+                       "segments of different traces closer than gap"});
+      fresh_keys.push_back(c);
     }
   }
+
+  // Merge the fresh violations into the cached ones whose two slots are
+  // clean. Both lists are key-sorted and share no key: a kept pair has two
+  // clean slots, a fresh one at least one dirty slot.
+  LMR_ASSERT(result_keys_.size() == result_.size(), "one key per cached violation");
+  std::vector<Violation> out;
+  std::vector<PairKey> keys;
+  std::size_t j = 0;
+  const auto take_fresh = [&] {
+    out.push_back(std::move(fresh[j]));
+    keys.push_back(fresh_keys[j++]);
+  };
+  for (std::size_t i = 0; i < result_.size(); ++i) {
+    const PairKey& k = result_keys_[i];
+    if (dirty[k.slot_a] || dirty[k.slot_b]) continue;
+    while (j < fresh.size() && fresh_keys[j] < k) take_fresh();
+    out.push_back(std::move(result_[i]));
+    keys.push_back(k);
+  }
+  while (j < fresh.size()) take_fresh();
+  LMR_ASSERT(std::adjacent_find(keys.begin(), keys.end(),
+                                [](const PairKey& x, const PairKey& y) {
+                                  return !(x < y);
+                                }) == keys.end(),
+             "merged keys strictly increase");
   result_ = std::move(out);
+  result_keys_ = std::move(keys);
   result_epochs_ = slot_epoch_;
   return result_;
 }

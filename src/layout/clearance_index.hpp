@@ -20,16 +20,23 @@
 ///     edit-session path re-indexes only the traces an edit touched.
 ///  3. `sweep()`   — the only remaining barrier: bring the segment grid
 ///     (index::SegGrid) up to date, re-registering only the segments of
-///     slots whose epoch moved, then run the window-query / exact-check
-///     pass. A sweep with no intervening insert/remove returns the cached
-///     violations without touching the grid at all. `sweep()` must not race
-///     with `insert`/`remove` or another `sweep` on the same index — it is
-///     the barrier.
+///     slots whose epoch moved, then re-check only those dirty slots. The
+///     cached violations of every pair of two clean slots are kept as they
+///     are; each dirty slot's segments window-query every slot's segments,
+///     and the fresh violations are merged with the kept ones by key. A
+///     cold sweep is the same pass with every slot dirty. A sweep with no
+///     intervening insert/remove returns the cached violations without
+///     touching the grid at all. `sweep()` must not race with
+///     `insert`/`remove` or another `sweep` on the same index — it is the
+///     barrier.
 ///
 /// The output is identical — same violations, same order — to running
 /// `DrcChecker::check_trace_pair` over every pair of inserted slots a < b
-/// with different nets, in slot order: candidates are ordered by slot
-/// index, never by insertion timing or cache state.
+/// with different nets, in slot order: violations are ordered by their
+/// (slot a, slot b, segment a, segment b) key, never by insertion timing
+/// or cache state. A kept violation is exactly what a full sweep would
+/// recompute, because neither of its traces changed, and a fresh one runs
+/// the same exact check with the lower slot's segment first.
 
 #include <cstdint>
 #include <vector>
@@ -76,7 +83,8 @@ class ClearanceIndex {
   /// Query-only pass over everything inserted so far. Returns all TraceGap
   /// violations between traces of different nets, deterministically ordered
   /// by (slot a, slot b, segment a, segment b). Slots that were declared
-  /// but never inserted (or were removed) simply do not participate.
+  /// but never inserted (or were removed) simply do not participate. Only
+  /// the slots inserted or removed since the last sweep are re-queried.
   [[nodiscard]] std::vector<Violation> sweep() const;
 
   [[nodiscard]] std::size_t slot_count() const { return slots_.size(); }
@@ -89,6 +97,17 @@ class ClearanceIndex {
   struct Slot {
     const Trace* trace = nullptr;  ///< null until insert() / after remove()
     std::uint32_t net = 0;
+  };
+  /// A segment pair, lower slot first. Violations are ordered by this key.
+  struct PairKey {
+    std::uint32_t slot_a, slot_b, seg_a, seg_b;
+    bool operator<(const PairKey& o) const {
+      if (slot_a != o.slot_a) return slot_a < o.slot_a;
+      if (slot_b != o.slot_b) return slot_b < o.slot_b;
+      if (seg_a != o.seg_a) return seg_a < o.seg_a;
+      return seg_b < o.seg_b;
+    }
+    bool operator==(const PairKey&) const = default;
   };
 
   /// Re-register the segments of every slot whose epoch moved since the
@@ -111,8 +130,13 @@ class ClearanceIndex {
   mutable index::SegGrid grid_;  ///< payload packs (slot << 32) | segment
   mutable std::vector<std::vector<std::uint32_t>> grid_ids_;  ///< per slot: entry ids
   mutable std::vector<std::uint64_t> grid_built_epoch_;       ///< per slot, at build
-  mutable std::vector<Violation> result_;              ///< last sweep's output
-  mutable std::vector<std::uint64_t> result_epochs_;   ///< epochs it was valid at
+  /// Last sweep's output. The next sweep keeps the entries whose two slots
+  /// are still at their `result_epochs_` and re-queries only the other
+  /// slots.
+  mutable std::vector<Violation> result_;
+  mutable std::vector<PairKey> result_keys_;  ///< parallel to result_
+  /// Per-slot epochs result_ was taken at; a slot declared since has none.
+  mutable std::vector<std::uint64_t> result_epochs_;
 };
 
 }  // namespace lmr::layout

@@ -168,39 +168,30 @@ std::pair<layout::Layout, BoardRoute> Session::release() {
 void Session::reindex_groups(std::span<const std::size_t> groups) {
   for (const std::size_t g : groups) {
     for (const layout::GroupMember& m : layout_.groups().at(g).members) {
-      auto it = member_slots_.find(m.id);
-      if (it == member_slots_.end()) {
-        MemberSlots slots;
-        slots.count = m.kind == layout::MemberKind::SingleEnded ? 1 : 2;
+      auto it = member_slot0_.find(m.id);
+      if (it == member_slot0_.end()) {
+        std::uint32_t slot0 = 0;
         if (m.kind == layout::MemberKind::SingleEnded) {
-          slots.slot0 = board_index_.add_slot(layout_.trace(m.id).width, next_net_);
+          slot0 = board_index_.add_slot(layout_.trace(m.id).width, next_net_);
         } else {
           const layout::DiffPair& pair = layout_.pair(m.id);
-          slots.slot0 = board_index_.add_slot(pair.positive.width, next_net_);
+          slot0 = board_index_.add_slot(pair.positive.width, next_net_);
           board_index_.add_slot(pair.negative.width, next_net_);
         }
         ++next_net_;
-        it = member_slots_.emplace(m.id, slots).first;
+        it = member_slot0_.emplace(m.id, slot0).first;
       }
       if (m.kind == layout::MemberKind::SingleEnded) {
-        board_index_.insert(it->second.slot0, layout_.trace(m.id));
+        board_index_.insert(it->second, layout_.trace(m.id));
       } else {
         const layout::DiffPair& pair = layout_.pair(m.id);
-        board_index_.insert(it->second.slot0, pair.positive);
-        board_index_.insert(it->second.slot0 + 1, pair.negative);
+        board_index_.insert(it->second, pair.positive);
+        board_index_.insert(it->second + 1, pair.negative);
       }
     }
   }
-  // A member edited out of every group stops being length-matched state:
-  // take its slots out of the sweep (they revive on re-membership).
-  for (const auto& [id, slots] : member_slots_) {
-    if (layout_.group_of(id) != layout::kNoIndex) continue;
-    for (std::uint32_t s = 0; s < slots.count; ++s) {
-      if (board_index_.slot_inserted(slots.slot0 + s)) {
-        board_index_.remove(slots.slot0 + s);
-      }
-    }
-  }
+  // A Session's group membership never shrinks (no BoardEdit changes it), so
+  // a future membership edit must take the member's slots out of the sweep.
 }
 
 std::vector<layout::Violation> Session::board_clearance() {

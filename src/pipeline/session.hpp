@@ -152,10 +152,12 @@ class Session {
 
   /// Cross-member clearance violations over the whole board, from the
   /// session's incremental index: after an edit, only re-routed members
-  /// were re-indexed, and back-to-back calls with no edit are served from
-  /// the index's violation cache. Slots are keyed in first-seen member
-  /// order (group order at `route()`, then order of appearance), so the
-  /// violation order is stable for the session's lifetime.
+  /// are re-indexed and re-queried (the violations between two members
+  /// that were not re-routed are kept from the last call), and back-to-back
+  /// calls with no edit are served from the index's violation cache. Slots
+  /// are keyed in first-seen member order (group order at `route()`, then
+  /// order of appearance), so the violation order is stable for the
+  /// session's lifetime.
   std::vector<layout::Violation> board_clearance();
 
   [[nodiscard]] const layout::Layout& layout() const { return layout_; }
@@ -164,8 +166,7 @@ class Session {
   [[nodiscard]] std::uint64_t version() const { return layout_.version(); }
 
  private:
-  /// (Re-)index `group`'s members in the board-wide clearance index, then
-  /// drop members that no longer belong to any group.
+  /// (Re-)index `groups`' members in the board-wide clearance index.
   void reindex_groups(std::span<const std::size_t> groups);
 
   /// Reroute over the full journal suffix (`deltas_since(route version)`),
@@ -185,11 +186,8 @@ class Session {
 
   /// Board-wide cross-member clearance state, maintained incrementally.
   layout::ClearanceIndex board_index_;
-  struct MemberSlots {
-    std::uint32_t slot0 = 0;
-    std::uint32_t count = 0;  ///< 1 for single-ended, 2 for a pair
-  };
-  std::map<layout::TraceId, MemberSlots> member_slots_;
+  /// Each member's first slot; a pair's negative sub-trace is the next one.
+  std::map<layout::TraceId, std::uint32_t> member_slot0_;
   std::uint32_t next_net_ = 0;  ///< one clearance net per member
 };
 

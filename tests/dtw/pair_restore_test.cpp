@@ -334,16 +334,16 @@ void expect_family_restore_clean(const std::string& family, std::size_t threads)
   }
 }
 
-TEST(PairRestoreOracle, PairCorridorsOverlappedSerial) {
+TEST(PairRestoreOracle, PairCorridorsSerial) {
   expect_family_restore_clean("pair_corridors", 1);
 }
-TEST(PairRestoreOracle, PairCorridorsOverlappedThreaded) {
+TEST(PairRestoreOracle, PairCorridorsThreaded) {
   expect_family_restore_clean("pair_corridors", 4);
 }
-TEST(PairRestoreOracle, Table1OverlappedSerial) {
+TEST(PairRestoreOracle, Table1Serial) {
   expect_family_restore_clean("table1", 1);
 }
-TEST(PairRestoreOracle, Table1OverlappedThreaded) {
+TEST(PairRestoreOracle, Table1Threaded) {
   expect_family_restore_clean("table1", 4);
 }
 

@@ -2,10 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <deque>
+#include <map>
+#include <numeric>
 #include <random>
+#include <set>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "clearance_oracle.hpp"
@@ -18,6 +23,9 @@ namespace lmr::layout {
 namespace {
 
 using oracle::same_violations;
+
+/// Centerline pitch between the dense board's members.
+constexpr double kBandHeight = 3.2;
 
 drc::DesignRules test_rules() {
   drc::DesignRules r;
@@ -45,7 +53,7 @@ DenseBoard dense_board(std::uint64_t seed, int groups = 2, int members = 5) {
   spec.groups = groups;
   spec.members_per_group = members;
   spec.corridor_length = 80.0;
-  spec.band_height = 3.2;
+  spec.band_height = kBandHeight;
   spec.vias_per_band = 6;
   spec.rules = test_rules();
   DenseBoard b{scenario::ScenarioGenerator(spec).generate(seed), {}, test_rules()};
@@ -224,79 +232,147 @@ TEST(ClearanceIndex, ChurnSweepsStayIdentical) {
 }
 
 TEST(ClearanceIndex, SeededChurnMatchesOracle) {
-  // Random churn over a dense board plus hostile traces: two crossing
-  // diagonals across every band (each bbox covers more cells than SegGrid
-  // registers by bbox, so they take its walk registration) and traces with
-  // zero-length segments. Steps remove, reinsert and replace geometry, and
-  // declare wider slots after the first sweep (as a Session does when an
-  // edit adds a group: the query windows widen, the cells do not). After
-  // every step the sweep, and a back-to-back cached sweep, must equal the
-  // oracle over the current slot contents.
+  // Random multi-slot churn over a dense board plus hostile traces: two
+  // crossing diagonals across every band (each bbox covers more cells than
+  // SegGrid registers by bbox, so they take its walk registration) and
+  // traces with zero-length segments. Between two sweeps a step mutates k
+  // distinct slots, k in {1, 2, 3, half the slots, all slots}: remove,
+  // restore the original, re-insert the current trace unchanged (the epoch
+  // moves, the geometry does not), replace geometry, or declare a wider
+  // slot (as a Session does when an edit adds a group: the query windows
+  // widen, the cells do not). Each seed runs under the generation rules and
+  // under the gap inflated by one member band, where neighbouring members
+  // violate. After every step the sweep, and a back-to-back cached sweep,
+  // must equal the oracle over the current slot contents. The tally proves
+  // the steps reached the cases an incremental sweep can get wrong.
+  struct Tally {
+    int dirty_pairs = 0;        ///< violations between two dirty slots
+    int gained = 0;             ///< a clean slot gained one against a dirty slot
+    int lost = 0;               ///< ... or lost one
+    int removed_violating = 0;  ///< violations of a slot removed this step
+    int same_geometry = 0;      ///< re-inserts of unchanged geometry
+    int wider = 0;              ///< wider slots declared after the first sweep
+  } tally;
+  using Key = std::tuple<TraceId, TraceId, std::size_t, std::size_t>;
+  const auto key = [](const Violation& v) {
+    return Key{v.trace, v.other_trace, v.index_a, v.index_b};
+  };
   for (const std::uint64_t seed : {5u, 6u, 7u}) {
-    const DenseBoard b = dense_board(seed);
-    std::deque<Trace> owned;  // stable addresses for every trace ever inserted
-    const auto own = [&](std::vector<geom::Point> pts, double width) -> const Trace& {
-      Trace& t = owned.emplace_back();
-      t.id = static_cast<TraceId>(1000 + owned.size());
-      t.width = width;
-      t.path = geom::Polyline{std::move(pts)};
-      return t;
-    };
-    std::vector<oracle::Slot> current = b.slots;
-    auto net = static_cast<std::uint32_t>(current.size());
-    current.push_back({&own({{0, 0}, {80, 32}}, 0.25), net++});
-    current.push_back({&own({{0, 32}, {80, 1}}, 0.25), net++});
-    current.push_back({&own({{10, 5}, {10, 5}, {30, 5}, {30, 5}}, 0.25), net++});
-    current.push_back({&own({{55, 9}, {55, 9}}, 0.25), net++});
+    for (const double inflate : {0.0, kBandHeight}) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + ", gap +" + std::to_string(inflate));
+      const DenseBoard b = dense_board(seed);
+      drc::DesignRules rules = test_rules();
+      rules.gap += inflate;
+      std::deque<Trace> owned;  // stable addresses for every trace ever inserted
+      const auto own = [&](std::vector<geom::Point> pts, double width) -> const Trace& {
+        Trace& t = owned.emplace_back();
+        t.id = static_cast<TraceId>(1000 + owned.size());
+        t.width = width;
+        t.path = geom::Polyline{std::move(pts)};
+        return t;
+      };
+      std::vector<oracle::Slot> current = b.slots;
+      auto net = static_cast<std::uint32_t>(current.size());
+      current.push_back({&own({{0, 0}, {80, 32}}, 0.25), net++});
+      current.push_back({&own({{0, 32}, {80, 1}}, 0.25), net++});
+      current.push_back({&own({{10, 5}, {10, 5}, {30, 5}, {30, 5}}, 0.25), net++});
+      current.push_back({&own({{55, 9}, {55, 9}}, 0.25), net++});
 
-    ClearanceIndex index(b.rules);
-    declare_and_insert(index, current);
-    std::vector<oracle::Slot> original = current;  // what case 1 restores
-    ASSERT_TRUE(same_violations(index.sweep(), oracle::sweep(current, b.rules)))
-        << "seed " << seed << " initial";
+      ClearanceIndex index(rules);
+      declare_and_insert(index, current);
+      std::vector<oracle::Slot> original = current;  // what a restore inserts
+      std::map<TraceId, std::uint32_t> slot_of;       // every trace ever inserted
+      for (std::uint32_t t = 0; t < current.size(); ++t) slot_of[current[t].trace->id] = t;
+      std::vector<Violation> before = oracle::sweep(current, rules);
+      ASSERT_TRUE(same_violations(index.sweep(), before)) << "initial";
 
-    std::mt19937_64 rng(seed);
-    std::uniform_real_distribution<double> shift(-2.5, 2.5);
-    for (int step = 0; step < 60; ++step) {
-      const auto k = static_cast<std::uint32_t>(rng() % current.size());
-      switch (rng() % 5) {
-        case 0:
-          index.remove(k);
-          current[k].trace = nullptr;
-          break;
-        case 1:
-          index.insert(k, *original[k].trace);
-          current[k].trace = original[k].trace;
-          break;
-        case 2: {  // replace geometry: a shifted copy of the original
-          const Trace& from = *original[k].trace;
-          const geom::Vec2 d{shift(rng), shift(rng)};
-          std::vector<geom::Point> pts = from.path.points();
-          for (geom::Point& p : pts) p += d;
-          current[k].trace = &own(std::move(pts), from.width);
-          index.insert(k, *current[k].trace);
-          break;
+      std::mt19937_64 rng(seed);
+      std::uniform_real_distribution<double> shift(-2.5, 2.5);
+      for (int step = 0; step < 60; ++step) {
+        const std::size_t n = current.size();
+        const std::size_t ks[] = {1, 2, 3, n / 2, n};
+        const std::size_t k = ks[rng() % 5];
+        std::vector<std::uint32_t> picks(n);
+        std::iota(picks.begin(), picks.end(), 0u);
+        std::shuffle(picks.begin(), picks.end(), rng);
+        std::vector<bool> dirty(n, false);
+        std::vector<bool> removed(n, false);
+        for (std::size_t m = 0; m < k; ++m) {
+          const std::uint32_t t = picks[m];
+          std::uint64_t kind = rng() % 5;
+          if (kind == 2 && current[t].trace == nullptr) kind = 1;  // nothing to re-insert
+          if (kind == 4 && current.size() >= 32) kind = 3;         // bound the oracle's cost
+          switch (kind) {
+            case 0:
+              removed[t] = current[t].trace != nullptr;
+              index.remove(t);
+              current[t].trace = nullptr;
+              break;
+            case 1:
+              index.insert(t, *original[t].trace);
+              current[t].trace = original[t].trace;
+              break;
+            case 2:
+              index.insert(t, *current[t].trace);
+              ++tally.same_geometry;
+              break;
+            case 3: {  // replace geometry: a shifted copy of the original
+              const Trace& from = *original[t].trace;
+              const geom::Vec2 d{shift(rng), shift(rng)};
+              std::vector<geom::Point> pts = from.path.points();
+              for (geom::Point& p : pts) p += d;
+              current[t].trace = &own(std::move(pts), from.width);
+              slot_of[current[t].trace->id] = t;
+              index.insert(t, *current[t].trace);
+              break;
+            }
+            default: {  // a wider slot; slot t stays as it is
+              const double w = 0.5 + 0.25 * static_cast<double>(rng() % 4);
+              const double y = 32.0 * static_cast<double>(rng() % 1000) / 1000.0;
+              const Trace& tr = own({{5, y}, {40, y + 3.0}, {75, y}}, w);
+              const std::uint32_t slot = index.add_slot(w, net);
+              index.insert(slot, tr);
+              slot_of[tr.id] = slot;
+              current.push_back({&tr, net});
+              original.push_back({&tr, net++});
+              dirty.push_back(true);
+              removed.push_back(false);
+              ++tally.wider;
+              continue;
+            }
+          }
+          dirty[t] = true;
         }
-        case 3: {  // a wider slot, declared after the first sweep
-          const double w = 0.5 + 0.25 * static_cast<double>(rng() % 4);
-          const double y = 32.0 * static_cast<double>(rng() % 1000) / 1000.0;
-          const Trace& t = own({{5, y}, {40, y + 3.0}, {75, y}}, w);
-          const std::uint32_t slot = index.add_slot(w, net);
-          index.insert(slot, t);
-          current.push_back({&t, net});
-          original.push_back({&t, net++});
-          break;
+        const std::vector<Violation> after = oracle::sweep(current, rules);
+        ASSERT_TRUE(same_violations(index.sweep(), after)) << "step " << step << ", k " << k;
+        ASSERT_TRUE(same_violations(index.sweep(), after))
+            << "step " << step << ", k " << k << " (cached)";
+
+        std::set<Key> before_keys, after_keys;
+        for (const Violation& v : before) before_keys.insert(key(v));
+        for (const Violation& v : after) after_keys.insert(key(v));
+        const auto dirty_slots = [&](const Violation& v) {
+          return (dirty[slot_of.at(v.trace)] ? 1 : 0) + (dirty[slot_of.at(v.other_trace)] ? 1 : 0);
+        };
+        for (const Violation& v : after) {
+          tally.dirty_pairs += dirty_slots(v) == 2 ? 1 : 0;
+          tally.gained += dirty_slots(v) == 1 && !before_keys.contains(key(v)) ? 1 : 0;
         }
-        default:  // no edit: the next sweep is served from the cache
-          break;
+        for (const Violation& v : before) {
+          tally.lost += dirty_slots(v) == 1 && !after_keys.contains(key(v)) ? 1 : 0;
+          tally.removed_violating +=
+              removed[slot_of.at(v.trace)] || removed[slot_of.at(v.other_trace)] ? 1 : 0;
+        }
+        before = after;
       }
-      const auto reference = oracle::sweep(current, b.rules);
-      ASSERT_TRUE(same_violations(index.sweep(), reference))
-          << "seed " << seed << " step " << step;
-      ASSERT_TRUE(same_violations(index.sweep(), reference))
-          << "seed " << seed << " step " << step << " (cached)";
     }
   }
+  EXPECT_GT(tally.dirty_pairs, 0);
+  EXPECT_GT(tally.gained, 0);
+  EXPECT_GT(tally.lost, 0);
+  EXPECT_GT(tally.removed_violating, 0);
+  EXPECT_GT(tally.same_geometry, 0);
+  EXPECT_GT(tally.wider, 0);
 }
 
 /// Oracle slots in the `Session::board_clearance` shape: groups in order,
