@@ -3,7 +3,10 @@
 /// O(cells + k) window visits) behind layout::ClearanceIndex. The
 /// ClearanceSweep trio times that index's sweep cold / warm / one-dirty on
 /// a synthetic worst case; BM_ClearanceSweepOneGroup re-sweeps a routed
-/// board after one group's re-insert.
+/// board after one group's re-insert. The ObstacleIndex pair times, on the
+/// full mega_board's obstacles, a full rebuild against moving one obstacle
+/// and updating the index in place — what an edit used to pay against what
+/// a Session pays now.
 
 #include <benchmark/benchmark.h>
 
@@ -13,6 +16,7 @@
 
 #include "index/seg_grid.hpp"
 #include "layout/clearance_index.hpp"
+#include "layout/obstacle_index.hpp"
 #include "pipeline/router.hpp"
 #include "scenario/scenario_families.hpp"
 
@@ -187,6 +191,47 @@ void BM_ClearanceSweepOneGroup(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ClearanceSweepOneGroup)->Unit(benchmark::kMicrosecond);
+
+/// The full mega_board's obstacles (materialized once per process).
+const std::vector<lmr::layout::Obstacle>& mega_obstacles() {
+  static const std::vector<lmr::layout::Obstacle> obstacles =
+      lmr::scenario::materialize(lmr::scenario::family("mega_board", false).cases.at(0))
+          .layout.obstacles();
+  return obstacles;
+}
+
+void BM_ObstacleIndexRebuild(benchmark::State& state) {
+  const std::vector<lmr::layout::Obstacle>& obstacles = mega_obstacles();
+  for (auto _ : state) {
+    const lmr::layout::ObstacleIndex index(obstacles);
+    benchmark::DoNotOptimize(index.size());
+  }
+  state.counters["obstacles"] = static_cast<double>(obstacles.size());
+}
+BENCHMARK(BM_ObstacleIndexRebuild)->Unit(benchmark::kMicrosecond);
+
+/// One obstacle moved and folded into the index in place, as
+/// Session::apply does for a MoveObstacle edit. Each iteration nudges the
+/// next obstacle out and back on alternate passes, so the board stays put.
+void BM_ObstacleIndexEdit(benchmark::State& state) {
+  std::vector<lmr::layout::Obstacle> obstacles = mega_obstacles();
+  lmr::layout::ObstacleIndex index(obstacles);
+  lmr::layout::LayoutDelta move;
+  move.kind = lmr::layout::DeltaKind::MoveObstacle;
+  std::size_t k = 0;
+  double dir = 1.0;
+  for (auto _ : state) {
+    move.obstacle = k;
+    for (lmr::geom::Point& p : obstacles[k].shape.points()) p += {0.6 * dir, 0.3 * dir};
+    index.apply(move, obstacles);
+    if (++k == obstacles.size()) {
+      k = 0;
+      dir = -dir;
+    }
+  }
+  benchmark::DoNotOptimize(index.size());
+}
+BENCHMARK(BM_ObstacleIndexEdit)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

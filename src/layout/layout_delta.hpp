@@ -7,10 +7,11 @@
 /// appends one `LayoutDelta` to the layout's journal: what happened, the
 /// version the board reached, and the dirty bounding box the change can
 /// influence. Deltas are *records*, not commands — replay is never needed;
-/// `pipeline::Router::reroute` only reads them to prove which groups an
+/// `pipeline::Router::reroute` only reads them to prove which members an
 /// edit can touch (dirty bbox inflated by the clearance radius vs. cached
-/// per-group route bboxes) and to reject stale or out-of-order edits via
-/// the version stamps.
+/// per-member route domains) and to reject stale or out-of-order edits via
+/// the version stamps, and `layout::ObstacleIndex::apply` folds obstacle
+/// deltas into a kept index.
 
 #include <cstddef>
 #include <cstdint>

@@ -23,6 +23,26 @@ bool grid_range(const geom::Box& b) {
 
 }  // namespace
 
+std::size_t ObstacleIndex::cell_of(double v, double origin, std::size_t cells) const {
+  // Clamp while still in floating point: casting inf, NaN or 1e300 to an
+  // integer is undefined behaviour.
+  const double f = std::floor((v - origin) / cell_);
+  if (!(f > 0.0)) return 0;
+  return static_cast<std::size_t>(std::min(f, static_cast<double>(cells - 1)));
+}
+
+template <typename Fn>
+void ObstacleIndex::for_cells(const geom::Box& b, Fn&& fn) const {
+  const std::size_t x0 = cell_of(b.lo.x, origin_.x, nx_);
+  const std::size_t x1 = cell_of(b.hi.x, origin_.x, nx_);
+  const std::size_t y0 = cell_of(b.lo.y, origin_.y, ny_);
+  const std::size_t y1 = cell_of(b.hi.y, origin_.y, ny_);
+  LMR_ASSERT(x0 <= x1 && y0 <= y1, "every gridded obstacle sits in at least one cell");
+  for (std::size_t cy = y0; cy <= y1; ++cy) {
+    for (std::size_t cx = x0; cx <= x1; ++cx) fn(cy * nx_ + cx);
+  }
+}
+
 ObstacleIndex::ObstacleIndex(std::span<const Obstacle> obstacles) : obstacles_(obstacles) {
   LMR_REQUIRE(obstacles.size() <= UINT32_MAX, "obstacle indices fit in 32 bits");
   boxes_.reserve(obstacles.size());
@@ -55,21 +75,12 @@ ObstacleIndex::ObstacleIndex(std::span<const Obstacle> obstacles) : obstacles_(o
   cell_ = std::max({2.0 * side_sum / n, std::sqrt(w) * std::sqrt(h) / std::sqrt(budget),
                     w / budget, h / budget});
   if (!(cell_ > 0.0)) cell_ = 1.0;  // every obstacle is the same point
+  origin_ = extent_.lo;
   nx_ = static_cast<std::size_t>(std::min(std::floor(w / cell_), budget)) + 1;
   ny_ = static_cast<std::size_t>(std::min(std::floor(h / cell_), budget)) + 1;
 
   // Count, prefix-sum, fill. The fill walks obstacles in ascending index, so
   // every cell's slice comes out ascending.
-  const auto for_cells = [&](const geom::Box& b, auto&& fn) {
-    const std::size_t x0 = cell_of(b.lo.x, extent_.lo.x, nx_);
-    const std::size_t x1 = cell_of(b.hi.x, extent_.lo.x, nx_);
-    const std::size_t y0 = cell_of(b.lo.y, extent_.lo.y, ny_);
-    const std::size_t y1 = cell_of(b.hi.y, extent_.lo.y, ny_);
-    LMR_ASSERT(x0 <= x1 && y0 <= y1, "every gridded obstacle sits in at least one cell");
-    for (std::size_t cy = y0; cy <= y1; ++cy) {
-      for (std::size_t cx = x0; cx <= x1; ++cx) fn(cy * nx_ + cx);
-    }
-  };
   offsets_.assign(nx_ * ny_ + 1, 0);
   for (const std::uint32_t id : gridded) {
     for_cells(boxes_[id], [&](std::size_t c) { ++offsets_[c + 1]; });
@@ -85,28 +96,28 @@ ObstacleIndex::ObstacleIndex(std::span<const Obstacle> obstacles) : obstacles_(o
              "the fill pass lands exactly on the counted slices");
 }
 
-std::size_t ObstacleIndex::cell_of(double v, double origin, std::size_t cells) const {
-  // Clamp while still in floating point: casting inf, NaN or 1e300 to an
-  // integer is undefined behaviour.
-  const double f = std::floor((v - origin) / cell_);
-  if (!(f > 0.0)) return 0;
-  return static_cast<std::size_t>(std::min(f, static_cast<double>(cells - 1)));
+std::span<const std::uint32_t> ObstacleIndex::slice(std::size_t c) const {
+  if (!edited_.empty()) {
+    const auto it = edited_.find(c);
+    if (it != edited_.end()) return it->second;
+  }
+  return {ids_.data() + offsets_[c], offsets_[c + 1] - offsets_[c]};
 }
 
 void ObstacleIndex::query(const geom::Box& window, std::vector<std::uint32_t>& out) const {
   out.clear();
   std::size_t slices = 0;
-  // False for empty and NaN windows and for windows off the grid.
+  // False for empty and NaN windows and for windows off every gridded bbox.
   if (window.intersects(extent_)) {
-    const std::size_t x0 = cell_of(window.lo.x, extent_.lo.x, nx_);
-    const std::size_t x1 = cell_of(window.hi.x, extent_.lo.x, nx_);
-    const std::size_t y0 = cell_of(window.lo.y, extent_.lo.y, ny_);
-    const std::size_t y1 = cell_of(window.hi.y, extent_.lo.y, ny_);
+    const std::size_t x0 = cell_of(window.lo.x, origin_.x, nx_);
+    const std::size_t x1 = cell_of(window.hi.x, origin_.x, nx_);
+    const std::size_t y0 = cell_of(window.lo.y, origin_.y, ny_);
+    const std::size_t y1 = cell_of(window.hi.y, origin_.y, ny_);
     for (std::size_t cy = y0; cy <= y1; ++cy) {
       for (std::size_t cx = x0; cx <= x1; ++cx) {
-        const std::size_t c = cy * nx_ + cx;
-        if (offsets_[c] == offsets_[c + 1]) continue;
-        out.insert(out.end(), ids_.data() + offsets_[c], ids_.data() + offsets_[c + 1]);
+        const std::span<const std::uint32_t> ids = slice(cy * nx_ + cx);
+        if (ids.empty()) continue;
+        out.insert(out.end(), ids.begin(), ids.end());
         ++slices;
       }
     }
@@ -123,6 +134,92 @@ void ObstacleIndex::query(const geom::Box& window, std::vector<std::uint32_t>& o
   }
   LMR_ASSERT(std::adjacent_find(out.begin(), out.end(), std::greater_equal<>()) == out.end(),
              "query output is ascending and unique");
+}
+
+std::vector<std::uint32_t>& ObstacleIndex::edit_cell(std::size_t c) {
+  const auto [it, fresh] = edited_.try_emplace(c);
+  if (fresh) it->second.assign(ids_.data() + offsets_[c], ids_.data() + offsets_[c + 1]);
+  return it->second;
+}
+
+void ObstacleIndex::place(std::uint32_t id, const geom::Box& b) {
+  if (b.empty()) return;
+  if (!grid_range(b)) {
+    unbounded_.insert(std::lower_bound(unbounded_.begin(), unbounded_.end(), id), id);
+    return;
+  }
+  LMR_ASSERT(nx_ > 0, "apply() builds the grid for the first gridded obstacle");
+  extent_.expand(b);
+  for_cells(b, [&](std::size_t c) {
+    std::vector<std::uint32_t>& ids = edit_cell(c);
+    ids.insert(std::lower_bound(ids.begin(), ids.end(), id), id);
+  });
+}
+
+void ObstacleIndex::unplace(std::uint32_t id, const geom::Box& b) {
+  const auto erase = [id](std::vector<std::uint32_t>& ids) {
+    const auto at = std::lower_bound(ids.begin(), ids.end(), id);
+    LMR_ASSERT(at != ids.end() && *at == id, "an obstacle is listed where it was placed");
+    ids.erase(at);
+  };
+  if (b.empty()) return;
+  if (!grid_range(b)) {
+    erase(unbounded_);
+    return;
+  }
+  for_cells(b, [&](std::size_t c) { erase(edit_cell(c)); });
+}
+
+void ObstacleIndex::apply(const LayoutDelta& delta, std::span<const Obstacle> obstacles) {
+  LMR_REQUIRE(obstacles.size() <= UINT32_MAX, "obstacle indices fit in 32 bits");
+  const std::size_t n = boxes_.size();
+  const auto id = static_cast<std::uint32_t>(delta.obstacle);
+  // An index with no grid yet (every obstacle so far was empty or off the
+  // grid) builds one the moment an obstacle needs it: a fresh build over
+  // the edited list is exactly what the edit must produce.
+  const auto needs_grid = [&] {
+    const geom::Box b = obstacles[id].shape.bbox();
+    return nx_ == 0 && !b.empty() && grid_range(b);
+  };
+  switch (delta.kind) {
+    case DeltaKind::AddObstacle:
+      LMR_REQUIRE(delta.obstacle == n && obstacles.size() == n + 1,
+                  "an added obstacle is appended to the list");
+      if (needs_grid()) {
+        *this = ObstacleIndex(obstacles);
+        return;
+      }
+      boxes_.push_back(obstacles[id].shape.bbox());
+      place(id, boxes_.back());
+      break;
+    case DeltaKind::MoveObstacle:
+      LMR_REQUIRE(delta.obstacle < n && obstacles.size() == n, "a moved obstacle exists");
+      if (needs_grid()) {
+        *this = ObstacleIndex(obstacles);
+        return;
+      }
+      unplace(id, boxes_[id]);
+      boxes_[id] = obstacles[id].shape.bbox();
+      place(id, boxes_[id]);
+      break;
+    case DeltaKind::RemoveObstacle: {
+      LMR_REQUIRE(delta.obstacle < n && obstacles.size() + 1 == n,
+                  "a removed obstacle was on the list");
+      unplace(id, boxes_[id]);
+      boxes_.erase(boxes_.begin() + static_cast<std::ptrdiff_t>(id));
+      // Every later obstacle moved down one slot; renumbering keeps each
+      // list ascending.
+      const auto shift = [id](std::uint32_t& x) { x -= x > id ? 1 : 0; };
+      std::for_each(ids_.begin(), ids_.end(), shift);
+      for (auto& cell : edited_) std::for_each(cell.second.begin(), cell.second.end(), shift);
+      std::for_each(unbounded_.begin(), unbounded_.end(), shift);
+      break;
+    }
+    default:
+      LMR_REQUIRE(obstacles.size() == n, "only obstacle deltas change the obstacle list");
+      break;
+  }
+  obstacles_ = obstacles;
 }
 
 }  // namespace lmr::layout

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <map>
 #include <memory>
+#include <numeric>
 #include <optional>
 #include <span>
 #include <stdexcept>
@@ -33,10 +34,11 @@ struct MemberWork {
   /// The route call's obstacle index (read-only, shared by every member)
   /// for restore validation and the per-net oracle.
   const layout::ObstacleIndex* obstacles = nullptr;
+  std::size_t index = 0;  ///< member index in its group
   layout::Trace trace;    ///< single-ended members
   layout::DiffPair pair;  ///< differential members
   /// Bbox of the member's geometry before extension (both sub-traces of a
-  /// pair), part of the group's domain_bbox.
+  /// pair), part of its NetResult::domain.
   geom::Box pre_route_bbox;
   /// Width-adjusted rules this member's traces are checked against.
   drc::DesignRules net_rules;
@@ -197,6 +199,29 @@ MemberSeed copy_member(const layout::Layout& layout, layout::TraceId id,
   return seed;
 }
 
+/// Member `m`'s live traces: the trace, or a pair's two sub-traces (the
+/// second entry is null for a single-ended member).
+std::array<const layout::Trace*, 2> member_traces(const layout::Layout& layout,
+                                                  const layout::GroupMember& m) {
+  if (m.kind == layout::MemberKind::SingleEnded) return {&layout.trace(m.id), nullptr};
+  const layout::DiffPair& pair = layout.pair(m.id);
+  return {&pair.positive, &pair.negative};
+}
+
+/// Renumber a kept net's obstacle references across the removals a reroute
+/// covers (obstacle indices at removal time, in journal order): each
+/// removal shifts every later obstacle down by one.
+void shift_obstacle_refs(std::vector<layout::Violation>& violations,
+                         std::span<const std::size_t> removed) {
+  for (layout::Violation& v : violations) {
+    if (v.kind != layout::ViolationKind::ObstacleClearance) continue;
+    for (const std::size_t r : removed) {
+      LMR_ASSERT(v.index_b != r, "a kept member never neighbours a removed obstacle");
+      if (v.index_b > r) --v.index_b;
+    }
+  }
+}
+
 /// Move every seed's geometry over its member's live paths. Moves do not
 /// allocate, so a rollback cannot fail halfway.
 void restore(layout::Layout& layout, std::map<layout::TraceId, MemberSeed>& seeds) {
@@ -231,6 +256,14 @@ Router::Router(drc::DesignRules rules, RouterOptions options)
   rules_.validate();
 }
 
+Router::GroupJob Router::whole_group(const layout::Layout& layout, std::size_t group) {
+  GroupJob job;
+  job.group = group;
+  job.members.resize(layout.groups().at(group).members.size());
+  std::iota(job.members.begin(), job.members.end(), std::size_t{0});
+  return job;
+}
+
 RouteResult Router::route_batch(layout::Layout& layout, std::size_t group_index) const {
   if (group_index >= layout.groups().size()) {
     throw std::out_of_range("Router: bad group index");
@@ -240,7 +273,7 @@ RouteResult Router::route_batch(layout::Layout& layout, std::size_t group_index)
     snapshot.try_emplace(m.id, copy_member(layout, m.id, m.kind));
   }
   std::vector<RouteResult> results(layout.groups().size());
-  route_groups(layout, {group_index}, results, snapshot);
+  route_groups(layout, {whole_group(layout, group_index)}, results, snapshot, nullptr);
   return std::move(results[group_index]);
 }
 
@@ -248,9 +281,10 @@ std::vector<RouteResult> Router::route_all(layout::Layout& layout) const {
   return route_board(layout).results;
 }
 
-void Router::route_groups(layout::Layout& layout, const std::vector<std::size_t>& todo,
+void Router::route_groups(layout::Layout& layout, const std::vector<GroupJob>& jobs,
                           std::vector<RouteResult>& results,
-                          std::map<layout::TraceId, MemberSeed>& snapshot) const {
+                          std::map<layout::TraceId, MemberSeed>& snapshot,
+                          const layout::ObstacleIndex* obstacles) const {
   // Every caller snapshots whether or not a fault plan, cancel token or
   // deadline is armed: extension can throw with nothing armed (no routable
   // area, a meander target below the current length, pair-restore
@@ -259,17 +293,18 @@ void Router::route_groups(layout::Layout& layout, const std::vector<std::size_t>
   // write-backs.
   try {
     const layout::Layout::RoutingFreeze freeze = layout.freeze_for_routing();
-    const layout::ObstacleIndex obstacles(layout.obstacles());
+    std::optional<layout::ObstacleIndex> own;
+    if (obstacles == nullptr) obstacles = &own.emplace(layout.obstacles());
     const std::size_t threads = exec::resolve_threads(options_.threads);
-    if (threads <= 1 || todo.size() <= 1) {
-      for (const std::size_t g : todo) results[g] = run(layout, g, threads, obstacles);
+    if (threads <= 1 || jobs.size() <= 1) {
+      for (const GroupJob& job : jobs) results[job.group] = run(layout, job, threads, *obstacles);
     } else {
       // One task per group; the nested member fan-out inside run() lands on
       // the same pool (workers push to their own deques, idle workers
       // steal), so a board of many small groups fills every worker instead
       // of running its groups back to back.
-      exec::parallel_for_dynamic(pool(), todo.size(), threads, [&](std::size_t k) {
-        results[todo[k]] = run(layout, todo[k], threads, obstacles);
+      exec::parallel_for_dynamic(pool(), jobs.size(), threads, [&](std::size_t k) {
+        results[jobs[k].group] = run(layout, jobs[k], threads, *obstacles);
       });
     }
   } catch (...) {
@@ -290,8 +325,9 @@ exec::TaskPool& Router::pool() const {
   return pool != nullptr ? *pool : exec::TaskPool::shared();
 }
 
-RouteResult Router::run(layout::Layout& layout, std::size_t group_index,
-                        std::size_t threads, const layout::ObstacleIndex& obstacles) const {
+RouteResult Router::run(layout::Layout& layout, const GroupJob& job, std::size_t threads,
+                        const layout::ObstacleIndex& obstacles) const {
+  const std::size_t group_index = job.group;
   LMR_ASSERT(group_index < layout.groups().size(), "route calls pass existing groups");
   // Board edits are rejected while any route is in flight (every caller
   // holds a routing freeze): the stages below read obstacles, areas and
@@ -299,9 +335,14 @@ RouteResult Router::run(layout::Layout& layout, std::size_t group_index,
   // race. Trace-geometry write-backs are not gated — they are the route's
   // own output channel.
   LMR_REQUIRE(layout.frozen(), "the caller holds a routing freeze");
-  LMR_REQUIRE(obstacles.size() == layout.obstacles().size(),
-              "the obstacle index covers this board");
+  LMR_REQUIRE(obstacles.indexes(layout.obstacles()), "the obstacle index covers this board");
   const layout::MatchGroup& group = layout.groups()[group_index];
+  const std::size_t n_members = group.members.size();
+  const RouteResult* prior = job.prior;
+  LMR_REQUIRE(prior != nullptr || job.members.size() == n_members,
+              "a job without a prior result routes every member");
+  LMR_REQUIRE(prior == nullptr || prior->nets.size() == n_members,
+              "a kept member's result sits at its member index");
   const auto t_run = core::now();
   const bool drc = options_.run_drc;
 
@@ -321,36 +362,49 @@ RouteResult Router::run(layout::Layout& layout, std::size_t group_index,
     opts = &*patched;
   }
 
-  // Set-up (serial): validate and copy every member before any member runs,
-  // and declare every clearance-index slot (member order fixes the
-  // deterministic violation order).
+  // Set-up (serial): declare every member's clearance-index slots in member
+  // order (which fixes the deterministic violation order), copy out and
+  // validate every member the job routes, and land every kept member's
+  // geometry — its routed geometry, unchanged since `prior` — in the index.
   std::vector<MemberWork> work;
-  work.reserve(group.members.size());
+  work.reserve(job.members.size());
   layout::ClearanceIndex index(rules_, options_.drc);
-  for (std::size_t m = 0; m < group.members.size(); ++m) {
-    MemberWork w;
-    w.member = group.members[m];
-    w.target = group.target_for(m);
-    w.area = layout.routable_area(w.member.id);
-    if (w.area == nullptr) {
-      throw std::invalid_argument("Router: member has no routable area");
+  for (std::size_t m = 0; m < n_members; ++m) {
+    const layout::GroupMember& gm = group.members[m];
+    const bool routed = work.size() < job.members.size() && job.members[work.size()] == m;
+    if (routed) {
+      MemberWork& w = work.emplace_back();
+      w.member = gm;
+      w.index = m;
+      w.target = group.target_for(m);
+      w.area = layout.routable_area(w.member.id);
+      if (w.area == nullptr) {
+        throw std::invalid_argument("Router: member has no routable area");
+      }
+      w.obstacles = &obstacles;
+      w.net_rules = rules_;
+      if (w.member.kind == layout::MemberKind::SingleEnded) {
+        w.trace = layout.trace(w.member.id);
+        w.pre_route_bbox = w.trace.path.bbox();
+      } else {
+        w.pair = layout.pair(w.member.id);
+        w.pre_route_bbox = w.pair.positive.path.bbox();
+        w.pre_route_bbox.expand(w.pair.negative.path.bbox());
+        w.net_rules.trace_width = w.pair.positive.width;
+      }
     }
-    w.obstacles = &obstacles;
-    w.net_rules = rules_;
-    if (w.member.kind == layout::MemberKind::SingleEnded) {
-      w.trace = layout.trace(w.member.id);
-      w.pre_route_bbox = w.trace.path.bbox();
-      w.slot0 = index.add_slot(w.trace.width, static_cast<std::uint32_t>(m));
-    } else {
-      w.pair = layout.pair(w.member.id);
-      w.pre_route_bbox = w.pair.positive.path.bbox();
-      w.pre_route_bbox.expand(w.pair.negative.path.bbox());
-      w.net_rules.trace_width = w.pair.positive.width;
-      w.slot0 = index.add_slot(w.pair.positive.width, static_cast<std::uint32_t>(m));
-      index.add_slot(w.pair.negative.width, static_cast<std::uint32_t>(m));
+    const auto [first, second] = member_traces(layout, gm);
+    const auto net = static_cast<std::uint32_t>(m);
+    const std::uint32_t slot0 = index.add_slot(first->width, net);
+    if (second != nullptr) index.add_slot(second->width, net);
+    if (routed) {
+      work.back().slot0 = slot0;
+    } else if (drc) {
+      index.insert(slot0, *first);
+      if (second != nullptr) index.insert(slot0 + 1, *second);
     }
-    work.push_back(std::move(w));
   }
+  LMR_ASSERT(work.size() == job.members.size(), "job member indices are ascending and valid");
   const std::size_t n = work.size();
 
   // Per-member result slots, all index-addressed so the outcome — including
@@ -368,10 +422,10 @@ RouteResult Router::run(layout::Layout& layout, std::size_t group_index,
   // incremental clearance index, while other members may still be extending.
   const auto route_one = [&](std::size_t i) {
     token.check();
-    if (plan != nullptr) {
-      plan->at_site(fault::extend_site(options_.fault_scope, group_index, i));
-    }
     MemberWork& w = work[i];
+    if (plan != nullptr) {
+      plan->at_site(fault::extend_site(options_.fault_scope, group_index, w.index));
+    }
     reports[i] = route_member(rules_, *opts, w);
     extend_done_s[i] = seconds_since(t_run);
 
@@ -416,29 +470,34 @@ RouteResult Router::run(layout::Layout& layout, std::size_t group_index,
     plan->at_site(fault::sweep_site(options_.fault_scope, group_index));
   }
 
+  // Member results in member order: the routed members' fresh ones, with
+  // their domain (area plus pre- and post-route paths, what reroute()'s
+  // delta → dirty-member proof tests edits against), and the kept members'
+  // carried over verbatim. Matching-phase wall time is when the last routed
+  // member finished extending (per-net checks are reported separately).
   RouteResult result;
   result.group.group_name = group.name;
   result.group.target = group.target_length;
-  result.group.members = std::move(reports);
-  // Everything this route read or produced, geometrically: member areas
-  // plus pre-route and post-route paths. reroute()'s delta → dirty-group
-  // proof tests edits against this box.
-  for (const MemberWork& w : work) {
-    result.domain_bbox.expand(w.area->bbox());
-    result.domain_bbox.expand(w.pre_route_bbox);
-    if (w.member.kind == layout::MemberKind::SingleEnded) {
-      result.domain_bbox.expand(layout.trace(w.member.id).path.bbox());
-    } else {
-      const layout::DiffPair& pair = layout.pair(w.member.id);
-      result.domain_bbox.expand(pair.positive.path.bbox());
-      result.domain_bbox.expand(pair.negative.path.bbox());
+  result.group.members.reserve(n_members);
+  result.nets.reserve(n_members);
+  for (std::size_t m = 0, i = 0; m < n_members; ++m) {
+    if (i == n || work[i].index != m) {
+      result.group.members.push_back(prior->group.members[m]);
+      result.nets.push_back(prior->nets[m]);
+      continue;
     }
-  }
-  // Matching-phase wall time — when the last member finished extending
-  // (per-net checks are reported separately below).
-  for (std::size_t i = 0; i < n; ++i) {
+    const MemberWork& w = work[i];
+    NetResult net{reports[i], std::move(net_violations[i]), w.area->bbox()};
+    net.domain.expand(w.pre_route_bbox);
+    for (const layout::Trace* t : member_traces(layout, w.member)) {
+      if (t != nullptr) net.domain.expand(t->path.bbox());
+    }
+    result.group.members.push_back(std::move(reports[i]));
+    result.nets.push_back(std::move(net));
     result.group.runtime_s = std::max(result.group.runtime_s, extend_done_s[i]);
-    result.extend_runtime_s += result.group.members[i].runtime_s;
+    result.extend_runtime_s += result.group.members.back().runtime_s;
+    result.drc_overlap_runtime_s += drc_stage_s[i];
+    ++i;
   }
 
   // Eq. 19 over final and initial lengths, on error magnitudes (overshoot
@@ -460,50 +519,45 @@ RouteResult Router::run(layout::Layout& layout, std::size_t group_index,
       errors(true);
   std::tie(result.group.max_error_pct, result.group.avg_error_pct) = errors(false);
 
-  // Collect the per-net verdicts the members produced, then run the only
-  // barrier: the cross-member clearance query pass over the
+  // The only barrier: the cross-member clearance query pass over the
   // incrementally-built index.
   if (drc) {
-    for (std::size_t i = 0; i < n; ++i) {
-      result.nets.push_back({result.group.members[i], std::move(net_violations[i])});
-      result.drc_overlap_runtime_s += drc_stage_s[i];
-    }
     const auto t_barrier = core::now();
     result.cross_violations = index.sweep();
     result.drc_barrier_runtime_s = seconds_since(t_barrier);
-  } else {
-    for (const MemberReport& mr : result.group.members) {
-      result.nets.push_back({mr, {}});
-    }
   }
 
   result.runtime_s = seconds_since(t_run);
   return result;
 }
 
-BoardRoute Router::route_board(layout::Layout& layout) const {
+BoardRoute Router::route_board(layout::Layout& layout,
+                               const layout::ObstacleIndex* obstacles) const {
   BoardRoute board;
+  std::vector<GroupJob> jobs;
   for (std::size_t g = 0; g < layout.groups().size(); ++g) {
+    jobs.push_back(whole_group(layout, g));
     board.rerouted_groups.push_back(g);
     for (const layout::GroupMember& m : layout.groups()[g].members) {
       board.seeds.try_emplace(m.id, copy_member(layout, m.id, m.kind));
+      board.rerouted_members.push_back(m);
     }
   }
   board.results.resize(layout.groups().size());
   // The seeds are the pre-call geometry: they double as the rollback
   // snapshot, so every path on the board is copied once.
-  route_groups(layout, board.rerouted_groups, board.results, board.seeds);
+  route_groups(layout, jobs, board.results, board.seeds, obstacles);
   board.version = layout.version();
   return board;
 }
 
 double Router::interaction_radius(const layout::Layout& layout) const {
   // Worst-case interaction radius: anything farther than this from
-  // everything a group's route read or produced cannot change its
-  // extension (obstacles enter routing only through area holes and
-  // proximity checks), its per-net oracle verdicts (gap / obstacle
-  // clearances top out at effective_gap / effective_obs for the widest
-  // trace) or its cross-member sweep.
+  // everything a net's route read or produced cannot change its extension
+  // (obstacles enter routing only through area holes and proximity
+  // checks), its per-net oracle verdicts (gap / obstacle clearances top
+  // out at effective_gap / effective_obs for the widest trace) or its part
+  // of the cross-member sweep.
   double w_max = rules_.trace_width;
   for (const auto& [id, t] : layout.traces()) {
     (void)id;
@@ -517,22 +571,27 @@ double Router::interaction_radius(const layout::Layout& layout) const {
          options_.drc.tolerance;
 }
 
-std::vector<std::size_t> Router::affected_groups(
+std::vector<Router::GroupJob> Router::affected_members(
     const layout::Layout& layout, const BoardRoute& prior,
     std::span<const layout::LayoutDelta> deltas) const {
   const std::size_t n_groups = layout.groups().size();
-  std::vector<bool> hit(n_groups, false);
+  const std::size_t known = std::min(n_groups, prior.results.size());
   // Groups the prior route has no result for (created by these edits) have
-  // nothing to splice from — always route them.
-  for (std::size_t g = prior.results.size(); g < n_groups; ++g) hit[g] = true;
+  // nothing to keep — route them whole.
+  std::vector<bool> whole(n_groups, false);
+  for (std::size_t g = known; g < n_groups; ++g) whole[g] = true;
+  std::vector<std::vector<bool>> hit(known);
+  for (std::size_t g = 0; g < known; ++g) hit[g].assign(prior.results[g].nets.size(), false);
 
   const double radius = interaction_radius(layout);
   const auto hit_near = [&](const geom::Box& dirty) {
     if (dirty.empty()) return;
     const geom::Box probe = dirty.inflated(radius);
-    const std::size_t known = std::min(n_groups, prior.results.size());
     for (std::size_t g = 0; g < known; ++g) {
-      if (probe.intersects(prior.results[g].domain_bbox)) hit[g] = true;
+      const std::vector<NetResult>& nets = prior.results[g].nets;
+      for (std::size_t m = 0; m < nets.size(); ++m) {
+        if (probe.intersects(nets[m].domain)) hit[g][m] = true;
+      }
     }
   };
 
@@ -542,24 +601,18 @@ std::vector<std::size_t> Router::affected_groups(
       case layout::DeltaKind::AddPair:
         break;  // ungrouped geometry participates in no group's route
       case layout::DeltaKind::SetBoard:
-        std::fill(hit.begin(), hit.end(), true);
+        std::fill(whole.begin(), whole.end(), true);
         break;
       case layout::DeltaKind::AddGroup:
       case layout::DeltaKind::AddGroupMember:
       case layout::DeltaKind::RemoveGroupMember:
       case layout::DeltaKind::SetGroupTarget:
       case layout::DeltaKind::SetMemberTarget:
-        if (d.group < n_groups) hit[d.group] = true;
+        if (d.group < n_groups) whole[d.group] = true;
         break;
-      case layout::DeltaKind::SetRoutableArea: {
-        // The area is an input only to its owning member's route, but be
-        // doubly conservative: also test the touched geometry against every
-        // cached domain.
-        const std::size_t g = layout.group_of(d.trace);
-        if (g != layout::kNoIndex && g < n_groups) hit[g] = true;
-        hit_near(d.dirty);
-        break;
-      }
+      case layout::DeltaKind::SetRoutableArea:
+        // The dirty box holds the old area's bbox, which is part of the
+        // owning member's domain, so the owner is always among the hits.
       case layout::DeltaKind::AddObstacle:
       case layout::DeltaKind::MoveObstacle:
       case layout::DeltaKind::RemoveObstacle:
@@ -568,51 +621,108 @@ std::vector<std::size_t> Router::affected_groups(
     }
   }
 
-  std::vector<std::size_t> out;
+  std::vector<GroupJob> jobs;
   for (std::size_t g = 0; g < n_groups; ++g) {
-    if (hit[g]) out.push_back(g);
+    if (whole[g]) {
+      jobs.push_back(whole_group(layout, g));
+      continue;
+    }
+    // No membership delta reached this group, so its members still sit at
+    // the indices of its prior result.
+    LMR_ASSERT(hit[g].size() == layout.groups()[g].members.size(),
+               "a group without membership deltas keeps its members");
+    GroupJob job;
+    job.group = g;
+    job.prior = &prior.results[g];
+    for (std::size_t m = 0; m < hit[g].size(); ++m) {
+      if (hit[g][m]) job.members.push_back(m);
+    }
+    if (!job.members.empty()) jobs.push_back(std::move(job));
   }
-  return out;
+  return jobs;
 }
 
-BoardRoute Router::reroute(layout::Layout& layout, const BoardRoute& prior) const {
+void Router::reroute(layout::Layout& layout, BoardRoute& route,
+                     const layout::ObstacleIndex& obstacles) const {
+  const std::span<const layout::LayoutDelta> deltas = layout.deltas_since(route.version);
   const std::size_t n_groups = layout.groups().size();
-  BoardRoute next;
-  next.version = layout.version();
-  next.seeds = prior.seeds;
-  next.results = prior.results;
-  next.results.resize(n_groups);  // groups are only ever appended
-  next.rerouted_groups = affected_groups(layout, prior, layout.deltas_since(prior.version));
+  // Groups are only ever appended. Reserve first: jobs point into
+  // route.results, and the splice must not reallocate.
+  route.results.reserve(n_groups);
+  const std::vector<GroupJob> jobs = affected_members(layout, route, deltas);
+  std::vector<std::size_t> removed;
+  for (const layout::LayoutDelta& d : deltas) {
+    if (d.kind == layout::DeltaKind::RemoveObstacle) removed.push_back(d.obstacle);
+  }
 
-  // Every member an affected group holds now — or held when `prior` routed
-  // it (a member edited out must fall back to its pristine geometry, same
-  // as a fresh route of the edited board would leave it) — restarts from
-  // its pristine seed. Members the prior route never saw are seeded here:
-  // un-routed geometry *is* pristine. The rollback snapshot is their
-  // geometry before the restart, so a throw hands back the pre-call layout,
-  // not the seeds. Its cost is bounded by the affected groups, i.e. the
-  // geometry being rerouted anyway. The restart only moves copies in, which
-  // cannot throw, so every later throw comes from route_groups, which puts
-  // the snapshot back.
+  // Every member a job routes — and, for a group routed whole, every member
+  // it held when `route` routed it (a member edited out must fall back to
+  // its pristine geometry, same as a fresh route of the edited board would
+  // leave it) — restarts from its pristine seed. Members the prior route
+  // never saw are seeded here: un-routed geometry *is* pristine. The
+  // rollback snapshot is their geometry before the restart, so a throw
+  // hands back the pre-call layout, not the seeds. The restart only moves
+  // copies in, which cannot throw, so every later throw comes from
+  // route_groups, which puts the snapshot back.
   std::map<layout::TraceId, MemberSeed> snapshot;
   std::map<layout::TraceId, MemberSeed> start;
+  std::map<layout::TraceId, MemberSeed> new_seeds;
+  std::vector<std::size_t> rerouted_groups;
+  std::vector<layout::GroupMember> rerouted_members;
   const auto touch = [&](layout::TraceId id, layout::MemberKind kind) {
     if (snapshot.contains(id)) return;
     const MemberSeed& now = snapshot.emplace(id, copy_member(layout, id, kind)).first->second;
-    start.emplace(id, next.seeds.try_emplace(id, now).first->second);
-  };
-  for (const std::size_t g : next.rerouted_groups) {
-    if (g < prior.results.size()) {
-      for (const MemberReport& m : prior.results[g].group.members) touch(m.id, m.kind);
+    const auto seed = route.seeds.find(id);
+    if (seed != route.seeds.end()) {
+      start.emplace(id, seed->second);
+    } else {
+      start.emplace(id, now);
+      new_seeds.emplace(id, now);
     }
-    for (const layout::GroupMember& m : layout.groups()[g].members) touch(m.id, m.kind);
+  };
+  for (const GroupJob& job : jobs) {
+    const std::vector<layout::GroupMember>& members = layout.groups()[job.group].members;
+    if (job.prior == nullptr && job.group < route.results.size()) {
+      for (const MemberReport& m : route.results[job.group].group.members) touch(m.id, m.kind);
+    }
+    for (const std::size_t m : job.members) {
+      touch(members[m].id, members[m].kind);
+      rerouted_members.push_back(members[m]);
+    }
+    rerouted_groups.push_back(job.group);
   }
 
+  // Fresh results are built on the side; `route` is not touched until they
+  // all exist.
+  std::vector<RouteResult> fresh(n_groups);
   restore(layout, start);
-  // Re-run only the affected groups; untouched groups keep their spliced
-  // prior results verbatim.
-  route_groups(layout, next.rerouted_groups, next.results, snapshot);
-  return next;
+  route_groups(layout, jobs, fresh, snapshot, &obstacles);
+
+  // Splice: moves and integer updates only, so it cannot throw. Kept
+  // members' obstacle references follow the removals; routed members were
+  // checked against the list as it is now.
+  auto job = jobs.begin();
+  for (std::size_t g = 0; g < n_groups; ++g) {
+    const GroupJob* routed = job != jobs.end() && job->group == g ? &*job++ : nullptr;
+    if (g == route.results.size()) {
+      route.results.push_back(std::move(fresh[g]));
+    } else if (routed != nullptr) {
+      route.results[g] = std::move(fresh[g]);
+    }
+    if (removed.empty() || (routed != nullptr && routed->prior == nullptr)) continue;
+    std::vector<NetResult>& nets = route.results[g].nets;
+    for (std::size_t m = 0, k = 0; m < nets.size(); ++m) {
+      if (routed != nullptr && k < routed->members.size() && routed->members[k] == m) {
+        ++k;
+        continue;
+      }
+      shift_obstacle_refs(nets[m].violations, removed);
+    }
+  }
+  route.version = layout.version();
+  route.seeds.merge(new_seeds);
+  route.rerouted_groups = std::move(rerouted_groups);
+  route.rerouted_members = std::move(rerouted_members);
 }
 
 }  // namespace lmr::pipeline

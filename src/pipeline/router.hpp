@@ -12,11 +12,13 @@
 /// layout and returns per-net diagnostics; `route_all()` batches every group
 /// of a layout into one task fan-out so small groups never serialize behind
 /// each other; `route_board()` is `route_all()` plus the pristine seeds and
-/// layout version a `reroute()` needs to re-run only the groups later edits
-/// can touch. Every call fans out on the persistent work-stealing executor
-/// (exec/task_pool) up to `RouterOptions::threads` claimers (1 = serial),
-/// indexes the board's obstacles once (layout::ObstacleIndex) and shares the
-/// index read-only across every group and worker for the per-net oracle.
+/// layout version a `reroute()` needs; `reroute()` re-runs only the members
+/// later edits can touch and splices them into that route in place. Every
+/// call fans out on the persistent work-stealing executor (exec/task_pool)
+/// up to `RouterOptions::threads` claimers (1 = serial), and shares one
+/// layout::ObstacleIndex read-only across every group and worker for the
+/// per-net oracle: the caller's (a Session keeps one current under edits),
+/// or one the call builds over the board.
 ///
 /// Within one group each member runs as one closure — extend → write-back →
 /// per-net DRC — in member order when serial and under
@@ -31,10 +33,24 @@
 /// violation list and index slot is written at its member-order index, so
 /// the outcome — including violation order — is independent of scheduling.
 ///
-/// A throw leaves the layout untouched. Each call copies the geometry of
-/// every member it may touch into a `MemberSeed` snapshot before routing,
-/// and the one group driver writes that snapshot back on any throw, after
-/// every claimer has drained.
+/// Member-level reroute. Because a net's route depends only on its seed,
+/// its area, the obstacles near it, the rules and its target, `reroute`
+/// restarts only the members an edit can reach: an obstacle or area delta
+/// hits a member when its dirty box, inflated by the interaction radius,
+/// meets the member's domain box (`NetResult::domain`); target, membership
+/// and board deltas hit the whole group. Every other member keeps its
+/// geometry, report and per-net violations (their obstacle indices
+/// renumbered across removals, as the board's list shifts). A group with
+/// at least one restarted member recomputes its Eq. 19 errors from the
+/// member reports and its cross-member pass over all members, exactly as a
+/// fresh route does, so the result is a fresh route's by construction.
+///
+/// A throw leaves the layout (and a rerouted `BoardRoute`) untouched. Each
+/// call copies the geometry of every member it may touch into a
+/// `MemberSeed` snapshot before routing, and the one group driver writes
+/// that snapshot back on any throw, after every claimer has drained;
+/// `reroute` builds its fresh results on the side and splices them in with
+/// moves that cannot throw.
 
 #include <cstddef>
 #include <cstdint>
@@ -136,6 +152,12 @@ struct NetResult {
   /// Violations involving only this net (self rules, obstacle clearance,
   /// area containment; both sub-traces for a differential member).
   std::vector<layout::Violation> violations;
+  /// Everything this net's route read or produced, geometrically: its
+  /// routable-area bbox plus its pre- and post-route path bboxes.
+  /// `Router::reroute` proves a board edit cannot have changed this net by
+  /// showing the edit's dirty box, inflated by the interaction radius,
+  /// misses this box.
+  geom::Box domain;
 
   [[nodiscard]] bool drc_clean() const { return violations.empty(); }
 };
@@ -148,8 +170,9 @@ struct RouteResult {
   /// Clearance violations between traces of *different* members.
   std::vector<layout::Violation> cross_violations;
   double runtime_s = 0.0;
-  /// Aggregate extension work time (sum of per-member extension runtimes;
-  /// exceeds wall time when members run concurrently).
+  /// Aggregate extension work time (sum of the extension runtimes of the
+  /// members the producing call routed; exceeds wall time when members run
+  /// concurrently).
   double extend_runtime_s = 0.0;
   /// Aggregate per-net oracle work time (rules / obstacles / containment +
   /// clearance-index inserts). With more than one thread it runs
@@ -158,12 +181,6 @@ struct RouteResult {
   /// Wall time of the final cross-member clearance query pass — the only
   /// part of the oracle that is a barrier.
   double drc_barrier_runtime_s = 0.0;
-  /// Everything this group's route read or produced, geometrically: the
-  /// union of member routable-area bboxes and pre-/post-route path bboxes.
-  /// `Router::reroute` proves a board edit cannot have changed this group
-  /// by showing the edit's dirty box, inflated by the clearance radius,
-  /// misses this box.
-  geom::Box domain_bbox;
 
   [[nodiscard]] bool matched() const;
   [[nodiscard]] bool drc_clean() const;
@@ -173,10 +190,10 @@ struct RouteResult {
 
 /// A copy of one group member's geometry, and the Router's one snapshot
 /// type: every route call keeps one per member it may touch, keyed by
-/// member id, and writes them back if it throws. Re-routing a group is only
-/// equivalent to routing it fresh if it starts from the same input
+/// member id, and writes them back if it throws. Re-routing a member is
+/// only equivalent to routing it fresh if it starts from the same input
 /// polylines, so `route_board` keeps its snapshot as the pristine seeds and
-/// `reroute` restarts every member of an affected group from its seed.
+/// `reroute` restarts every member it re-runs from its seed.
 struct MemberSeed {
   layout::MemberKind kind = layout::MemberKind::SingleEnded;
   geom::Polyline primary;    ///< the trace, or traceP of a pair
@@ -184,8 +201,8 @@ struct MemberSeed {
 };
 
 /// A whole-board routing outcome pinned to the layout version it reflects.
-/// `route_board` produces one; `reroute` consumes a prior one plus the
-/// journal suffix and splices fresh results over the affected groups only.
+/// `route_board` produces one; `reroute` brings it up to the layout's
+/// journal in place, re-running only the members the new deltas can touch.
 struct BoardRoute {
   /// layout.version() the results correspond to. `reroute` re-routes over
   /// the layout's journal since this version.
@@ -195,10 +212,14 @@ struct BoardRoute {
   std::vector<RouteResult> results;
   /// Pristine pre-route geometry per member id (see MemberSeed).
   std::map<layout::TraceId, MemberSeed> seeds;
-  /// Diagnostics: group indices the producing call actually re-routed
+  /// Group indices the producing call re-ran at least one member of
   /// (`route_board` lists every group). Not part of the equivalence
   /// contract.
   std::vector<std::size_t> rerouted_groups;
+  /// The members the producing call re-ran, group-major in member order
+  /// (`route_board` lists every member): what a Session re-indexes for its
+  /// board-wide clearance sweep. Not part of the equivalence contract.
+  std::vector<layout::GroupMember> rerouted_members;
 };
 
 /// The end-to-end facade. Construct once with the design rules, then route
@@ -229,20 +250,22 @@ class Router {
   /// `route_all` plus the session bookkeeping: snapshot every member's
   /// pristine geometry first (the seeds double as the rollback snapshot),
   /// stamp the layout version, return the package `reroute` incrementally
-  /// updates.
-  BoardRoute route_board(layout::Layout& layout) const;
+  /// updates. `obstacles`, when given, must index `layout.obstacles()` and
+  /// is borrowed for the per-net oracle; otherwise the call builds one.
+  BoardRoute route_board(layout::Layout& layout,
+                         const layout::ObstacleIndex* obstacles = nullptr) const;
 
-  /// Incremental re-route over the layout's journal since `prior.version`:
-  /// prove which groups the recorded edits can touch (group-structure
-  /// deltas name their group; geometric deltas miss a group when their
-  /// dirty bbox inflated by the worst-case clearance radius misses its
-  /// cached domain bbox), restart those groups' members from their pristine
-  /// seeds, re-run only them on the same executor, and splice the fresh
-  /// results over `prior`'s. The result is bit-identical — trace geometry
-  /// and violation sets — to a fresh `route_all` of the edited board. A
-  /// `prior` newer than the layout throws std::invalid_argument (from
-  /// Layout::deltas_since); a throw hands back the pre-call geometry.
-  BoardRoute reroute(layout::Layout& layout, const BoardRoute& prior) const;
+  /// Incremental re-route over the layout's journal since `route.version`:
+  /// prove which members the recorded edits can touch (see the file
+  /// comment), restart them from their pristine seeds, re-run them on the
+  /// same executor and splice the fresh results into `route` in place. The
+  /// result is bit-identical — trace geometry and violation sets — to a
+  /// fresh `route_all` of the edited board. `obstacles` must index
+  /// `layout.obstacles()` as it is now. A `route` newer than the layout
+  /// throws std::invalid_argument (from Layout::deltas_since); any throw
+  /// leaves `route` and every member's geometry as they were.
+  void reroute(layout::Layout& layout, BoardRoute& route,
+               const layout::ObstacleIndex& obstacles) const;
 
   [[nodiscard]] const drc::DesignRules& rules() const { return rules_; }
   [[nodiscard]] const RouterOptions& options() const { return options_; }
@@ -252,29 +275,44 @@ class Router {
   [[nodiscard]] exec::TaskPool& pool() const;
 
  private:
-  /// One group's route: extend → write-back → per-net DRC per member, then
-  /// the cross-member sweep. The caller holds a routing freeze for as long
-  /// as `obstacles` (an index over layout.obstacles()) is alive, and undoes
-  /// the write-backs if this throws.
-  RouteResult run(layout::Layout& layout, std::size_t group_index, std::size_t threads,
+  /// One group a route call runs: the members it restarts, and the result
+  /// the others keep theirs from.
+  struct GroupJob {
+    std::size_t group = 0;
+    /// Member indices to route, ascending; every member for a fresh route.
+    std::vector<std::size_t> members;
+    /// The group's prior result; null when every member is routed.
+    const RouteResult* prior = nullptr;
+  };
+
+  /// A job that routes every member of `group` fresh.
+  [[nodiscard]] static GroupJob whole_group(const layout::Layout& layout, std::size_t group);
+  /// One group's route: extend → write-back → per-net DRC per job member,
+  /// the kept members' results carried over from `job.prior`, then Eq. 19
+  /// and the cross-member sweep over all members. The caller holds a
+  /// routing freeze for as long as `obstacles` (an index over
+  /// layout.obstacles()) is alive, and undoes the write-backs if this
+  /// throws.
+  RouteResult run(layout::Layout& layout, const GroupJob& job, std::size_t threads,
                   const layout::ObstacleIndex& obstacles) const;
   /// The one group driver behind every route call: freeze the board, index
-  /// its obstacles once, then one task per group in `todo`. Writes
-  /// results[g] for every g in todo (index-addressed — scheduling cannot
-  /// change output). On any throw, once every claimer has drained, it moves
-  /// `snapshot` (the pre-call geometry of every member the call may touch)
-  /// back into the layout and rethrows.
-  void route_groups(layout::Layout& layout, const std::vector<std::size_t>& todo,
+  /// its obstacles once unless the caller lent an index, then one task per
+  /// job. Writes results[job.group] for every job (index-addressed —
+  /// scheduling cannot change output). On any throw, once every claimer has
+  /// drained, it moves `snapshot` (the pre-call geometry of every member the
+  /// call may touch) back into the layout and rethrows.
+  void route_groups(layout::Layout& layout, const std::vector<GroupJob>& jobs,
                     std::vector<RouteResult>& results,
-                    std::map<layout::TraceId, MemberSeed>& snapshot) const;
-  /// The delta → dirty-group proof: indices of groups the edits could have
-  /// affected, in group order. Groups the board has grown past
-  /// `prior.results` are always included.
-  [[nodiscard]] std::vector<std::size_t> affected_groups(
+                    std::map<layout::TraceId, MemberSeed>& snapshot,
+                    const layout::ObstacleIndex* obstacles) const;
+  /// The delta → dirty-member proof: one job per group the edits could
+  /// have affected, in group order. Groups the board has grown past
+  /// `prior.results` are routed whole.
+  [[nodiscard]] std::vector<GroupJob> affected_members(
       const layout::Layout& layout, const BoardRoute& prior,
       std::span<const layout::LayoutDelta> deltas) const;
   /// Worst-case distance at which anything on the board can still influence
-  /// a route (see affected_groups).
+  /// a route (see affected_members).
   [[nodiscard]] double interaction_radius(const layout::Layout& layout) const;
 
   drc::DesignRules rules_;

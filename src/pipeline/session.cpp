@@ -25,6 +25,27 @@ bool same_violations(const std::vector<layout::Violation>& a,
   return true;
 }
 
+/// Member reports and Eq. 19 errors agree in every field a route
+/// determines (runtimes are timing, not output).
+bool same_reports(const GroupReport& a, const GroupReport& b) {
+  if (a.group_name != b.group_name || a.target != b.target ||
+      a.max_error_pct != b.max_error_pct || a.avg_error_pct != b.avg_error_pct ||
+      a.initial_max_error_pct != b.initial_max_error_pct ||
+      a.initial_avg_error_pct != b.initial_avg_error_pct) {
+    return false;
+  }
+  for (std::size_t m = 0; m < a.members.size(); ++m) {
+    const MemberReport& x = a.members[m];
+    const MemberReport& y = b.members[m];
+    if (x.name != y.name || x.initial_length != y.initial_length ||
+        x.final_length != y.final_length || x.target != y.target || x.reached != y.reached ||
+        x.patterns != y.patterns) {
+      return false;
+    }
+  }
+  return true;
+}
+
 void explain(std::string* why, const std::string& msg) {
   if (why != nullptr) *why = msg;
 }
@@ -34,6 +55,7 @@ void explain(std::string* why, const std::string& msg) {
 Session::Session(drc::DesignRules rules, RouterOptions options, layout::Layout board)
     : router_(rules, std::move(options)),
       layout_(std::move(board)),
+      obstacles_(layout_.obstacles()),
       board_index_(router_.rules(), router_.options().drc) {}
 
 Session::Session(drc::DesignRules rules, RouterOptions options, layout::Layout board,
@@ -46,18 +68,14 @@ Session::Session(drc::DesignRules rules, RouterOptions options, layout::Layout b
   }
   route_ = std::move(prior);
   routed_ = true;
-  std::vector<std::size_t> all;
-  for (std::size_t g = 0; g < layout_.groups().size(); ++g) all.push_back(g);
-  reindex_groups(all);
+  for (const layout::MatchGroup& g : layout_.groups()) reindex_members(g.members);
 }
 
 const BoardRoute& Session::route(ApplyMode mode) {
-  route_ = mode == ApplyMode::Degraded ? degraded_router().route_board(layout_)
-                                       : router_.route_board(layout_);
+  route_ = mode == ApplyMode::Degraded ? degraded_router().route_board(layout_, &obstacles_)
+                                       : router_.route_board(layout_, &obstacles_);
   routed_ = true;
-  std::vector<std::size_t> all;
-  for (std::size_t g = 0; g < layout_.groups().size(); ++g) all.push_back(g);
-  reindex_groups(all);
+  reindex_members(route_.rerouted_members);
   return route_;
 }
 
@@ -91,6 +109,8 @@ ApplyOutcome Session::apply(std::span<const layout::BoardEdit> edits, ApplyMode 
       failed = std::current_exception();
       break;
     }
+    // The list may have reallocated: every delta re-points the index.
+    for (const layout::LayoutDelta& d : deltas) obstacles_.apply(d, layout_.obstacles());
     outcome.deltas.insert(outcome.deltas.end(),
                           std::make_move_iterator(deltas.begin()),
                           std::make_move_iterator(deltas.end()));
@@ -134,13 +154,17 @@ void Session::finish_reroute(ApplyOutcome& outcome, ApplyMode mode) {
   const auto t0 = core::now();
   // reroute() reads *every* delta the route has not seen from the journal,
   // not just this batch's: after a prior reroute-phase failure the suffix
-  // also carries the stranded deltas, so the commit self-heals.
-  route_ = mode == ApplyMode::Degraded ? degraded_router().reroute(layout_, route_)
-                                       : router_.reroute(layout_, route_);
+  // also carries the stranded deltas, so the commit self-heals. It updates
+  // route_ in place and leaves it untouched if it throws.
+  if (mode == ApplyMode::Degraded) {
+    degraded_router().reroute(layout_, route_, obstacles_);
+  } else {
+    router_.reroute(layout_, route_, obstacles_);
+  }
   outcome.reroute_s = core::seconds_since(t0);
   outcome.rerouted_groups = route_.rerouted_groups;
   outcome.groups_total = layout_.groups().size();
-  reindex_groups(outcome.rerouted_groups);
+  reindex_members(route_.rerouted_members);
 }
 
 Router Session::degraded_router() const {
@@ -165,29 +189,27 @@ std::pair<layout::Layout, BoardRoute> Session::release() {
   return {std::move(layout_), std::move(route_)};
 }
 
-void Session::reindex_groups(std::span<const std::size_t> groups) {
-  for (const std::size_t g : groups) {
-    for (const layout::GroupMember& m : layout_.groups().at(g).members) {
-      auto it = member_slot0_.find(m.id);
-      if (it == member_slot0_.end()) {
-        std::uint32_t slot0 = 0;
-        if (m.kind == layout::MemberKind::SingleEnded) {
-          slot0 = board_index_.add_slot(layout_.trace(m.id).width, next_net_);
-        } else {
-          const layout::DiffPair& pair = layout_.pair(m.id);
-          slot0 = board_index_.add_slot(pair.positive.width, next_net_);
-          board_index_.add_slot(pair.negative.width, next_net_);
-        }
-        ++next_net_;
-        it = member_slot0_.emplace(m.id, slot0).first;
-      }
+void Session::reindex_members(std::span<const layout::GroupMember> members) {
+  for (const layout::GroupMember& m : members) {
+    auto it = member_slot0_.find(m.id);
+    if (it == member_slot0_.end()) {
+      std::uint32_t slot0 = 0;
       if (m.kind == layout::MemberKind::SingleEnded) {
-        board_index_.insert(it->second, layout_.trace(m.id));
+        slot0 = board_index_.add_slot(layout_.trace(m.id).width, next_net_);
       } else {
         const layout::DiffPair& pair = layout_.pair(m.id);
-        board_index_.insert(it->second, pair.positive);
-        board_index_.insert(it->second + 1, pair.negative);
+        slot0 = board_index_.add_slot(pair.positive.width, next_net_);
+        board_index_.add_slot(pair.negative.width, next_net_);
       }
+      ++next_net_;
+      it = member_slot0_.emplace(m.id, slot0).first;
+    }
+    if (m.kind == layout::MemberKind::SingleEnded) {
+      board_index_.insert(it->second, layout_.trace(m.id));
+    } else {
+      const layout::DiffPair& pair = layout_.pair(m.id);
+      board_index_.insert(it->second, pair.positive);
+      board_index_.insert(it->second + 1, pair.negative);
     }
   }
   // A Session's group membership never shrinks (no BoardEdit changes it), so
@@ -234,6 +256,10 @@ bool routes_equivalent(const layout::Layout& a, const BoardRoute& ra,
           return false;
         }
       }
+    }
+    if (!same_reports(ga.group, gb.group)) {
+      explain(why, tag + ": member reports or Eq. 19 errors differ");
+      return false;
     }
     if (ga.nets.size() != gb.nets.size()) {
       explain(why, tag + ": net-result count differs");

@@ -4,12 +4,14 @@
 /// calls instead of the one-shot Router facade.
 ///
 /// The session owns the layout, the last whole-board route (results +
-/// pristine seeds) and a board-wide incremental clearance index. `route()`
-/// matches the board once; every subsequent `apply(edit)` lowers the edit
-/// through layout::apply_edit, asks Router::reroute to re-run only the
-/// groups the recorded deltas can touch, splices the fresh results over the
-/// kept ones, and re-indexes only the re-routed members' geometry in the
-/// clearance index. The state after any edit sequence is bit-identical —
+/// pristine seeds), the board's obstacle index and a board-wide incremental
+/// clearance index. `route()` matches the board once; every subsequent
+/// `apply(edit)` lowers the edit through layout::apply_edit, folds each
+/// lowered delta into the obstacle index (so no edit re-indexes the whole
+/// board), asks Router::reroute to re-run only the members the recorded
+/// deltas can touch — updating the session's route in place, with no copy
+/// of the board's results — and re-indexes only those members' geometry in
+/// the clearance index. The state after any edit sequence is bit-identical —
 /// trace geometry and violation sets — to generating the edited board from
 /// scratch and routing it fresh, which is exactly how the edit_storm bench
 /// and tests oracle-check it.
@@ -25,6 +27,7 @@
 #include "layout/board_edit.hpp"
 #include "layout/clearance_index.hpp"
 #include "layout/layout.hpp"
+#include "layout/obstacle_index.hpp"
 #include "pipeline/router.hpp"
 
 namespace lmr::pipeline {
@@ -56,7 +59,7 @@ struct ApplyOutcome {
   /// `version_after - version_before == deltas.size()`.
   std::uint64_t version_before = 0;
   std::uint64_t version_after = 0;
-  /// Group indices Router::reroute actually re-ran.
+  /// Group indices Router::reroute re-ran at least one member of.
   std::vector<std::size_t> rerouted_groups;
   /// Total groups on the board, for the re-routed-fraction readout.
   std::size_t groups_total = 0;
@@ -151,9 +154,9 @@ class Session {
   [[nodiscard]] std::pair<layout::Layout, BoardRoute> release();
 
   /// Cross-member clearance violations over the whole board, from the
-  /// session's incremental index: after an edit, only re-routed members
-  /// are re-indexed and re-queried (the violations between two members
-  /// that were not re-routed are kept from the last call), and back-to-back
+  /// session's incremental index: after an edit, only the re-routed
+  /// members are re-indexed and re-queried (the violations between two
+  /// members that were not re-routed are kept from the last call), and back-to-back
   /// calls with no edit are served from the index's violation cache. Slots
   /// are keyed in first-seen member order (group order at `route()`, then
   /// order of appearance), so the violation order is stable for the
@@ -166,8 +169,8 @@ class Session {
   [[nodiscard]] std::uint64_t version() const { return layout_.version(); }
 
  private:
-  /// (Re-)index `groups`' members in the board-wide clearance index.
-  void reindex_groups(std::span<const std::size_t> groups);
+  /// (Re-)index `members` in the board-wide clearance index.
+  void reindex_members(std::span<const layout::GroupMember> members);
 
   /// Reroute over the full journal suffix (`deltas_since(route version)`),
   /// fill the outcome's reroute fields, and re-index. Factored out so apply
@@ -180,6 +183,9 @@ class Session {
 
   Router router_;
   layout::Layout layout_;
+  /// Index over layout_.obstacles(), kept current by apply() from every
+  /// lowered delta and lent to every route call.
+  layout::ObstacleIndex obstacles_;
   BoardRoute route_;
   bool routed_ = false;
   std::optional<ApplyOutcome> last_partial_;
@@ -192,9 +198,10 @@ class Session {
 };
 
 /// Exact routed-board equivalence: same groups with the same members, every
-/// member's final trace geometry bit-identical between the two layouts, and
-/// identical per-group violation sets (per-net and cross-member, compared
-/// field by field in order). This is the oracle behind the edit_storm bench
+/// member's final trace geometry bit-identical between the two layouts,
+/// identical member reports and Eq. 19 errors (every field but the
+/// runtimes), and identical per-group violation sets (per-net and
+/// cross-member, compared field by field in order). This is the oracle behind the edit_storm bench
 /// and tests: a session's incremental state after an edit script must be
 /// `routes_equivalent` to a fresh route of the same edited board. On
 /// mismatch returns false and, when `why` is non-null, stores a one-line

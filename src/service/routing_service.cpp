@@ -234,6 +234,13 @@ void RoutingService::pump(const BoardId& id) {
   std::size_t committed_now = 0;      // … of which the reroute committed
   bool lowering_failure = false;      // err names inflight[lowered_now] itself
   bool applying = false;
+  // Copies of the routed layout + route: what quarantine later reverts to
+  // ("last good"). Taken outside the lock; declared before it, so a
+  // replaced checkpoint swapped in here is destroyed after the unlock.
+  std::optional<BoardSnapshot> checkpoint;
+  const auto take_checkpoint = [&] {
+    checkpoint.emplace(BoardSnapshot{session.layout(), session.route_state()});
+  };
   try {
     if (initial) {
       session.route(mode);
@@ -243,6 +250,9 @@ void RoutingService::pump(const BoardId& id) {
         // on them first so the batch below starts from a committed state.
         session.resync(mode);
         committed_pending = pending0;
+        // Those edits now count as applied: should the batch below fail
+        // with the session out of sync, quarantine must still serve them.
+        if (n_inflight > 0) take_checkpoint();
       }
       if (n_inflight > 0) {
         applying = true;
@@ -270,15 +280,14 @@ void RoutingService::pump(const BoardId& id) {
     }
   }
   const double elapsed = core::seconds_since(t0);
+  // Every attempt that ends in sync with edits committed refreshes the
+  // checkpoint, failed ones included: a lowering failure commits the batch
+  // prefix before it throws, and a quarantined board serves exactly the
+  // edits counted as applied.
+  const bool refresh =
+      session.in_sync() && (err == nullptr || committed_pending + committed_now > 0);
 
-  // Checkpoint outside the lock: copies of the routed layout + route are
-  // what quarantine later reverts to ("last good").
-  std::optional<BoardSnapshot> checkpoint;
-  if (err == nullptr) {
-    checkpoint.emplace(BoardSnapshot{session.layout(), session.route_state()});
-  }
-
-  std::lock_guard<std::mutex> lk(mu_);
+  std::unique_lock<std::mutex> lk(mu_);
   BoardStats& s = b->stats;
   if (!initial) {
     // Consume what this attempt disposed of: committed edits leave the
@@ -296,9 +305,20 @@ void RoutingService::pump(const BoardId& id) {
     s.max_batch = std::max<std::uint64_t>(s.max_batch, n_inflight);
     s.apply_s += elapsed;
   }
+  if (refresh) {
+    // The commit is published above, before the copy: it is what callers
+    // wait for. The pump still owns the board (busy), so no reader,
+    // eviction or quarantine can see it between the commit and its
+    // checkpoint.
+    lk.unlock();
+    take_checkpoint();
+    lk.lock();
+  }
+  // Swap, not assign: the replaced checkpoint — a whole board — is then
+  // destroyed with `checkpoint` after the lock is released.
+  if (checkpoint.has_value()) std::swap(b->last_good, checkpoint);
   if (err == nullptr) {
     b->attempts = 0;
-    b->last_good = std::move(checkpoint);
     s.clearance_violations = violations;
     if (initial) {
       b->routed = true;

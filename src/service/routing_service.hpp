@@ -31,7 +31,7 @@
 /// (`backoff_virtual_s` — no wall-clock sleeping, so drains stay fast and
 /// results carry no timing nondeterminism). A board that exhausts the
 /// ladder is *quarantined*: its state reverts to the last-good snapshot
-/// (checkpointed after every successful dispatch), queued edits are
+/// (checkpointed after every dispatch that committed edits), queued edits are
 /// dropped and counted, and subsequent submits shed with
 /// `SubmitStatus::Quarantined` until `resurrect()` re-admits it.
 ///
@@ -282,8 +282,11 @@ class RoutingService {
     pipeline::RouterOptions options;
     std::unique_ptr<pipeline::Session> session;  ///< null while evicted
     std::optional<BoardSnapshot> snapshot;       ///< set while evicted
-    /// Checkpoint taken after every successful dispatch — what quarantine
-    /// reverts to. Holds a routed state whenever `routed` is true.
+    /// Checkpoint taken after every dispatch attempt that ends in sync with
+    /// edits committed (successful ones, and failed ones that committed a
+    /// batch prefix), once the commit is published in `stats` — what
+    /// quarantine reverts to. Holds a routed state whenever `routed` is
+    /// true.
     std::optional<BoardSnapshot> last_good;
     std::deque<Pending> queue;
     /// Edits claimed from the queue by the current work item; kept across

@@ -7,10 +7,12 @@
 #include <functional>
 #include <limits>
 #include <random>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "layout/drc_checker.hpp"
+#include "layout/layout.hpp"
 #include "pipeline/router.hpp"
 #include "scenario/scenario_families.hpp"
 
@@ -20,7 +22,9 @@
 /// DrcChecker::check_obstacles equals the brute-force vector overload field
 /// for field and in order, on every smoke family's routed traces, a rotated
 /// board, and traces pushed through the via fields (routed boards are
-/// clean, so only the pushed traces reach the violation path).
+/// clean, so only the pushed traces reach the violation path); (c) an index
+/// kept current through `apply` answers like a fresh build after every
+/// recorded add, move and remove.
 
 namespace lmr::layout {
 namespace {
@@ -125,6 +129,73 @@ TEST(ObstacleIndex, EmptyBboxesNeverAndNonFiniteBboxesAlwaysAreCandidates) {
   const std::vector<Obstacle> none;
   ObstacleIndex(none).query({{-kInf, -kInf}, {kInf, kInf}}, got);
   EXPECT_TRUE(got.empty());
+}
+
+/// `index`'s candidates for `w` that survive the exact bbox test: what any
+/// index over the same obstacles must agree on.
+std::vector<std::uint32_t> exact_candidates(const ObstacleIndex& index, const Box& w) {
+  std::vector<std::uint32_t> got;
+  index.query(w, got);
+  EXPECT_EQ(std::adjacent_find(got.begin(), got.end(), std::greater_equal<>()), got.end())
+      << "not ascending and unique";
+  std::erase_if(got, [&](std::uint32_t i) { return !index.bbox(i).intersects(w); });
+  return got;
+}
+
+TEST(ObstacleIndex, EditedIndexAnswersLikeAFreshBuildAfterEveryEdit) {
+  // A Session-style index: built once over the board, then fed every
+  // recorded obstacle mutation through apply() and re-pointed at
+  // layout.obstacles() each time, because the list may reallocate. After
+  // every edit its candidates, filtered by exact bbox intersection, must
+  // equal a fresh build's over random windows. Each script opens with the
+  // cases a grid update can get wrong — an add outside the original grid
+  // extent, a non-finite and an empty bbox, removing the first and the
+  // last obstacle, a move off the grid and back — then runs a seeded mix;
+  // one board starts with no obstacles at all.
+  for (const std::size_t start : {std::size_t{0}, std::size_t{1}, std::size_t{80}}) {
+    SCOPED_TRACE(std::to_string(start) + " obstacles at build");
+    std::mt19937_64 rng(4100 + start);
+    Layout board;
+    for (const Obstacle& o : random_obstacles(rng, start)) (void)board.add_obstacle(o);
+    ObstacleIndex index(board.obstacles());
+    std::size_t step = 0;
+    const auto edited = [&](const LayoutDelta& d) {
+      index.apply(d, board.obstacles());
+      SCOPED_TRACE("edit " + std::to_string(step++));
+      ASSERT_TRUE(index.indexes(board.obstacles()));
+      const ObstacleIndex fresh(board.obstacles());
+      for (const Box& w : windows(rng, 150)) {
+        ASSERT_EQ(exact_candidates(index, w), exact_candidates(fresh, w));
+      }
+    };
+
+    edited(board.add_obstacle(rect({{250.0, -90.0}, {252.0, -88.0}}, "outside the grid")));
+    edited(board.add_obstacle(poly({{10.0, 20.0}, {kInf, 20.0}, {kInf, 21.0}}, "to +inf")));
+    edited(board.add_obstacle(poly({}, "empty")));
+    edited(board.add_obstacle(rect({{40.0, 40.0}, {41.5, 41.0}}, "inside")));
+    edited(board.remove_obstacle(0));
+    edited(board.remove_obstacle(board.obstacle_count() - 1));
+    edited(board.move_obstacle(0, {-400.0, 300.0}));
+    edited(board.move_obstacle(0, {400.0, -300.0}));
+    edited(board.set_obstacle_shape(0, geom::Polygon::rect({{kNaN, 0.0}, {1.0, 1.0}})));
+
+    std::uniform_real_distribution<double> u(-10.0, 110.0);
+    for (int k = 0; k < 40; ++k) {
+      const std::size_t n = board.obstacle_count();
+      const std::size_t op = n == 0 ? 0 : rng() % 3;
+      if (op == 0) {
+        const Point lo{u(rng), u(rng)};
+        edited(board.add_obstacle(rect({lo, {lo.x + 2.0, lo.y + 1.0}})));
+      } else if (op == 1) {
+        edited(board.move_obstacle(rng() % n, {u(rng) - 50.0, u(rng) - 50.0}));
+      } else {
+        const std::size_t victims[] = {0, n - 1, static_cast<std::size_t>(rng() % n)};
+        edited(board.remove_obstacle(victims[k % 3]));
+      }
+    }
+    // Other delta kinds only re-point the index.
+    edited(board.set_board(geom::Polygon::rect({{-20.0, -20.0}, {120.0, 120.0}})));
+  }
 }
 
 /// Check `t` both ways and compare field for field; returns the count.

@@ -15,8 +15,11 @@
 
 #include "fault/cancel.hpp"
 #include "fault/fault_plan.hpp"
+#include "layout/board_edit.hpp"
+#include "layout/obstacle_index.hpp"
 #include "pipeline/session.hpp"
 #include "scenario/edit_storm.hpp"
+#include "scenario/scenario_families.hpp"
 
 namespace lmr::pipeline {
 namespace {
@@ -132,6 +135,79 @@ TEST(FaultInjection, SweepFaultStillRollsBackEveryWriteback) {
   EXPECT_THROW((void)router.route_batch(board, 0), fault::InjectedFault);
   EXPECT_EQ(all_paths(board), before) << "sweep-site fault skipped the rollback";
   EXPECT_NO_THROW((void)router.route_batch(board, 0));
+}
+
+TEST(FaultInjection, MemberRerouteFaultLeavesLayoutAndRouteUnchanged) {
+  // A reroute re-runs only the members an obstacle nudge reaches. Its fault
+  // site names a member by its index in the group, not by its position in
+  // the re-run subset, so the fault is armed at the last re-run member of
+  // the first group the nudge reaches. The nudged via sits mid-group, so
+  // that index lies past its subset position. Occurrence 1 is the
+  // initial route; occurrence 2 is the reroute, which must throw and leave
+  // every member's geometry and the BoardRoute exactly as before the call.
+  // With the window spent, the same reroute then matches a fresh route.
+  scenario::Scenario base =
+      scenario::materialize(scenario::family("mega_board", true).cases.at(0));
+  layout::BoardEdit nudge;
+  nudge.kind = layout::BoardEditKind::MoveObstacle;
+  nudge.obstacle = 100;
+  nudge.move = {0.6, 0.3};
+
+  // Dry run: which members does the nudge re-run?
+  std::size_t group = 0;
+  std::size_t member = 0;
+  {
+    scenario::Scenario sc = base;
+    const Router router(sc.rules, storm_options(sc));
+    BoardRoute route = router.route_board(sc.layout);
+    layout::apply_edit(sc.layout, nudge);
+    router.reroute(sc.layout, route, layout::ObstacleIndex(sc.layout.obstacles()));
+    ASSERT_FALSE(route.rerouted_groups.empty());
+    group = route.rerouted_groups.front();
+    const std::vector<layout::GroupMember>& members = sc.layout.groups()[group].members;
+    std::size_t position = 0;
+    for (const layout::GroupMember& m : route.rerouted_members) {
+      if (sc.layout.group_of(m.id) != group) continue;
+      for (std::size_t i = 0; i < members.size(); ++i) {
+        if (members[i].id == m.id) member = i;
+      }
+      ++position;
+    }
+    ASSERT_LT(position, members.size()) << "the nudge must not re-run the whole group";
+    ASSERT_GE(member, position) << "the armed member must sit past its subset position";
+  }
+
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    scenario::Scenario sc = base;
+    RouterOptions opts = storm_options(sc);
+    opts.threads = threads;
+    opts.fault_scope = "mega";
+    opts.fault_plan = std::make_shared<fault::FaultPlan>();
+    opts.fault_plan->add({fault::extend_site("mega", group, member), /*nth=*/2, /*count=*/1});
+    const Router router(sc.rules, opts);
+    BoardRoute route = router.route_board(sc.layout);
+    layout::apply_edit(sc.layout, nudge);
+    const layout::ObstacleIndex obstacles(sc.layout.obstacles());
+
+    const auto paths = all_paths(sc.layout);
+    const layout::Layout layout_before = sc.layout;
+    const BoardRoute route_before = route;
+    EXPECT_THROW(router.reroute(sc.layout, route, obstacles), fault::InjectedFault);
+    EXPECT_EQ(all_paths(sc.layout), paths) << "rollback left residue";
+    EXPECT_EQ(route.version, route_before.version);
+    EXPECT_EQ(route.rerouted_groups, route_before.rerouted_groups);
+    EXPECT_EQ(route.rerouted_members.size(), route_before.rerouted_members.size());
+    EXPECT_EQ(route.seeds.size(), route_before.seeds.size());
+    std::string why;
+    EXPECT_TRUE(routes_equivalent(sc.layout, route, layout_before, route_before, &why)) << why;
+
+    router.reroute(sc.layout, route, obstacles);
+    scenario::Scenario fresh = base;
+    layout::apply_edit(fresh.layout, nudge);
+    const BoardRoute full = Router(fresh.rules, storm_options(fresh)).route_board(fresh.layout);
+    EXPECT_TRUE(routes_equivalent(sc.layout, route, fresh.layout, full, &why)) << why;
+  }
 }
 
 TEST(FaultInjection, ImpossibleDeadlineTimesOutCleanly) {

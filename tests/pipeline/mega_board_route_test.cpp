@@ -2,8 +2,10 @@
 
 #include <cstddef>
 #include <string>
+#include <vector>
 
 #include "layout/board_edit.hpp"
+#include "layout/obstacle_index.hpp"
 #include "pipeline/router.hpp"
 #include "pipeline/session.hpp"
 #include "scenario/scenario_families.hpp"
@@ -12,7 +14,8 @@
 /// layout::ObstacleIndex shared read-only by every group task: how the board
 /// is scheduled never changes the outcome. Routed geometry and violation
 /// sets are bit-identical for every thread count, and an incremental
-/// reroute equals a fresh route.
+/// reroute, which re-runs only the members an edit reaches, equals a fresh
+/// route.
 
 namespace lmr::pipeline {
 namespace {
@@ -51,41 +54,60 @@ TEST(MegaBoardRoute, IdenticalAcrossThreadCounts) {
 }
 
 TEST(MegaBoardRoute, RerouteMatchesFreshSerialRoute) {
-  // Edit script: retarget one group, nudge one obstacle. The reroute must
-  // splice to exactly the state a fresh serial route of the edited board
-  // produces — and must not re-run the whole board to get there.
-  const auto edits = [](layout::Layout& l) {
+  // Edit script: retarget one group, nudge one obstacle, each followed by a
+  // reroute. The reroutes must splice to exactly the state a fresh serial
+  // route of the edited board produces — and must not re-run the whole
+  // board to get there: the retarget re-runs its group, the nudge only the
+  // members near the obstacle.
+  const auto script = [](const layout::Layout& l) {
     layout::BoardEdit retarget;
     retarget.kind = layout::BoardEditKind::SetGroupTarget;
     retarget.group = 0;
     retarget.target = l.groups()[0].target_length * 1.02;
-    layout::apply_edit(l, retarget);
 
     layout::BoardEdit nudge;
     nudge.kind = layout::BoardEditKind::MoveObstacle;
     nudge.obstacle = 5;
     nudge.move = {0.6, 0.3};
-    layout::apply_edit(l, nudge);
+    return std::vector<layout::BoardEdit>{retarget, nudge};
   };
 
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
     SCOPED_TRACE("threads " + std::to_string(threads));
     scenario::Scenario sc = mega_smoke();
+    const std::vector<layout::BoardEdit> edits = script(sc.layout);
     const Router router(sc.rules, mega_options(sc, threads));
-    const BoardRoute prior = router.route_board(sc.layout);
-    edits(sc.layout);
-    const BoardRoute incremental = router.reroute(sc.layout, prior);
-    EXPECT_FALSE(incremental.rerouted_groups.empty());
-    EXPECT_LT(incremental.rerouted_groups.size(), sc.layout.groups().size())
-        << "local edits must not dirty the whole board";
+    BoardRoute route = router.route_board(sc.layout);
+    const auto rerouted_in = [&](std::size_t g) {
+      std::size_t n = 0;
+      for (const layout::GroupMember& m : route.rerouted_members) {
+        n += sc.layout.group_of(m.id) == g ? 1 : 0;
+      }
+      return n;
+    };
+
+    layout::apply_edit(sc.layout, edits[0]);
+    router.reroute(sc.layout, route, layout::ObstacleIndex(sc.layout.obstacles()));
+    EXPECT_EQ(route.rerouted_groups, std::vector<std::size_t>{0});
+    EXPECT_EQ(rerouted_in(0), sc.layout.groups()[0].members.size())
+        << "a retarget re-runs its whole group";
+
+    layout::apply_edit(sc.layout, edits[1]);
+    router.reroute(sc.layout, route, layout::ObstacleIndex(sc.layout.obstacles()));
+    ASSERT_FALSE(route.rerouted_members.empty()) << "the nudge must reach some member";
+    EXPECT_LT(route.rerouted_groups.size(), sc.layout.groups().size())
+        << "a local edit must not dirty the whole board";
+    for (const std::size_t g : route.rerouted_groups) {
+      EXPECT_LT(rerouted_in(g), sc.layout.groups()[g].members.size())
+          << "the nudge re-ran every member of group " << g;
+    }
 
     scenario::Scenario fresh = mega_smoke();
-    edits(fresh.layout);
+    for (const layout::BoardEdit& e : edits) layout::apply_edit(fresh.layout, e);
     const Router oracle(fresh.rules, mega_options(fresh, 1));
     const BoardRoute full = oracle.route_board(fresh.layout);
     std::string why;
-    EXPECT_TRUE(routes_equivalent(sc.layout, incremental, fresh.layout, full, &why))
-        << why;
+    EXPECT_TRUE(routes_equivalent(sc.layout, route, fresh.layout, full, &why)) << why;
   }
 }
 

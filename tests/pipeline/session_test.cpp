@@ -14,6 +14,7 @@
 #include <optional>
 #include <span>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -23,6 +24,7 @@
 #include "../layout/clearance_oracle.hpp"
 #include "fault/fault_plan.hpp"
 #include "layout/board_edit.hpp"
+#include "layout/obstacle_index.hpp"
 #include "pipeline/session.hpp"
 #include "scenario/edit_storm.hpp"
 
@@ -67,11 +69,17 @@ TEST(Session, EditStormsMatchFreshRouteAcrossThreadCounts) {
 
       std::size_t rerouted_total = 0;
       bool pruned = false;
+      bool pruned_members = false;
       for (const layout::BoardEdit& edit : storm.edits) {
         const ApplyOutcome out = session.apply(edit);
         EXPECT_FALSE(out.deltas.empty());
         rerouted_total += out.rerouted_groups.size();
         if (out.rerouted_groups.size() < out.groups_total) pruned = true;
+        std::size_t held = 0;
+        for (const std::size_t g : out.rerouted_groups) {
+          held += session.layout().groups()[g].members.size();
+        }
+        if (session.route_state().rerouted_members.size() < held) pruned_members = true;
       }
       EXPECT_GT(session.version(), v0);
 
@@ -92,6 +100,11 @@ TEST(Session, EditStormsMatchFreshRouteAcrossThreadCounts) {
       if (session.layout().groups().size() > 1) {
         EXPECT_TRUE(pruned) << "every edit re-routed all "
                             << session.layout().groups().size() << " groups";
+      }
+      // ... and members: on the mega board an obstacle edit re-runs only
+      // the members near it, not their whole group.
+      if (c.base.spec.members_per_group > 8) {
+        EXPECT_TRUE(pruned_members) << "every edit re-ran whole groups";
       }
       EXPECT_GT(rerouted_total, 0u);
     }
@@ -132,6 +145,12 @@ TEST(Session, BoardClearanceMatchesAFreshSessionOnTheEditedBoard) {
           const std::vector<layout::Violation> incremental = session.board_clearance();
           ASSERT_TRUE(layout::oracle::same_violations(incremental, fresh.board_clearance()))
               << "edit " << e;
+          // The groups' own cross-member passes, recomputed over kept and
+          // re-routed members alike, agree with the fresh route too.
+          std::string why;
+          ASSERT_TRUE(routes_equivalent(session.layout(), session.route_state(), fresh.layout(),
+                                        fresh.route_state(), &why))
+              << "edit " << e << ": " << why;
           ASSERT_TRUE(layout::oracle::same_violations(session.board_clearance(), incremental))
               << "edit " << e << " (cached)";
           violations += incremental.size();
@@ -160,10 +179,139 @@ TEST(Reroute, VersionIsMonotoneAcrossRouteAndReroute) {
   for (const layout::BoardEdit& edit : storm.edits) {
     (void)layout::apply_edit(board, edit);
     EXPECT_GT(board.version(), prev);
-    route = router.reroute(board, route);
+    router.reroute(board, route, layout::ObstacleIndex(board.obstacles()));
     EXPECT_EQ(route.version, board.version());
     prev = board.version();
   }
+}
+
+/// A single-ended trace from (0, line) to (length, line) in the corridor
+/// [-1, 41] x [y - 4.5, y + 4.5] (the small_group shape of router_test).
+layout::GroupMember corridor_member(layout::Layout& board, double y, double line,
+                                    double length) {
+  layout::Trace t;
+  t.name = "t" + std::to_string(board.traces().size());
+  t.path = geom::Polyline{{{0.0, line}, {length, line}}};
+  const layout::TraceId id = board.add_trace(t);
+  layout::RoutableArea area;
+  area.outline = geom::Polygon::rect({{-1.0, y - 4.5}, {41.0, y + 4.5}});
+  board.set_routable_area(id, area);
+  return {layout::MemberKind::SingleEnded, id};
+}
+
+drc::DesignRules corridor_rules(double gap) {
+  drc::DesignRules rules;
+  rules.gap = gap;
+  rules.obs = 0.5;
+  rules.protect = 0.5;
+  return rules;
+}
+
+TEST(Session, ObstacleRemovalRenumbersKeptMembersObstacleViolations) {
+  // Two one-trace groups in private corridors at y = 0 and y = 40. Group
+  // 1's trace starts 0.3 from obstacle 1, inside the obstacle clearance,
+  // so its net carries an ObstacleClearance violation naming obstacle 1.
+  // Removing the far obstacle 0 reaches no member, but obstacle 1 becomes
+  // obstacle 0: the kept violation must follow it, as a fresh route of the
+  // edited board reports it.
+  const drc::DesignRules rules = corridor_rules(1.0);
+  layout::Layout board;
+  for (const double y : {0.0, 40.0}) {
+    layout::MatchGroup g;
+    g.name = "g" + std::to_string(static_cast<int>(y));
+    g.target_length = 50.0;
+    g.members.push_back(corridor_member(board, y, y, 30.0));
+    board.add_group(g);
+  }
+  board.add_obstacle({geom::Polygon::rect({{200.0, 200.0}, {201.0, 201.0}}), "far"});
+  board.add_obstacle({geom::Polygon::rect({{-0.6, 39.8}, {-0.3, 40.2}}), "near"});
+
+  RouterOptions opts;
+  opts.threads = 1;
+  Session session(rules, opts, board);
+  session.route();
+  const auto obstacle_refs = [](const BoardRoute& r) {
+    std::vector<std::size_t> refs;
+    for (const layout::Violation& v : r.results.at(1).nets.at(0).violations) {
+      if (v.kind == layout::ViolationKind::ObstacleClearance) refs.push_back(v.index_b);
+    }
+    return refs;
+  };
+  ASSERT_FALSE(obstacle_refs(session.route_state()).empty());
+  EXPECT_EQ(obstacle_refs(session.route_state()).front(), 1u);
+
+  layout::BoardEdit remove;
+  remove.kind = layout::BoardEditKind::RemoveObstacle;
+  remove.obstacle = 0;
+  const ApplyOutcome out = session.apply(remove);
+  EXPECT_TRUE(out.rerouted_groups.empty()) << "the far obstacle reaches no member";
+
+  layout::Layout fresh = board;
+  layout::apply_edit(fresh, remove);
+  const BoardRoute full = Router(rules, opts).route_board(fresh);
+  EXPECT_EQ(obstacle_refs(full), std::vector<std::size_t>{0});
+  EXPECT_EQ(obstacle_refs(session.route_state()), obstacle_refs(full));
+  std::string why;
+  EXPECT_TRUE(routes_equivalent(session.layout(), session.route_state(), fresh, full, &why))
+      << why;
+}
+
+TEST(Session, PartialReroutesMatchAFreshRoute) {
+  // One group of three corridor members. Members 0 and 1 run their traces
+  // 2.5 apart, across their shared corridor border, so under a 3.0 gap
+  // they violate each other. Two edits, each re-running members 0 and 1
+  // and keeping member 2, which lies beyond the interaction radius:
+  //  - a keepout punched under member 0's trace blocks every meander it
+  //    had, so member 0 stops short and the group's Eq. 19 errors and its
+  //    cross-member violations change; both must be recomputed over kept
+  //    and re-run members alike;
+  //  - a sliver in the strip between the two corridors lands in no area,
+  //    so only its own obstacle delta can reach member 1, whose trace it
+  //    crowds: member 1 gains clearance violations against it, found
+  //    through the session's updated obstacle index.
+  // After each edit the session equals a fresh route of the edited board.
+  const drc::DesignRules rules = corridor_rules(3.0);
+  layout::Layout board;
+  layout::MatchGroup g;
+  g.name = "g";
+  g.target_length = 50.0;
+  g.members.push_back(corridor_member(board, 0.0, 3.5, 30.0));
+  g.members.push_back(corridor_member(board, 10.0, 6.0, 33.0));
+  g.members.push_back(corridor_member(board, 20.0, 20.0, 36.0));
+  board.add_group(g);
+
+  RouterOptions opts;
+  opts.threads = 1;
+  Session session(rules, opts, board);
+  session.route();
+  const RouteResult before = session.route_state().results.at(0);
+  ASSERT_FALSE(before.cross_violations.empty());
+
+  layout::BoardEdit keepout;
+  keepout.kind = layout::BoardEditKind::AddObstacle;
+  keepout.shape = geom::Polygon::rect({{1.0, -4.0}, {29.0, 2.5}});
+  keepout.name = "keepout";
+  layout::BoardEdit sliver = keepout;
+  sliver.shape = geom::Polygon::rect({{10.0, 4.55}, {12.0, 5.7}});
+  sliver.name = "sliver";
+
+  layout::Layout edited = board;  // pristine traces, the script so far
+  for (const layout::BoardEdit& edit : {keepout, sliver}) {
+    SCOPED_TRACE(edit.name);
+    (void)session.apply(edit);
+    layout::apply_edit(edited, edit);
+    layout::Layout fresh = edited;
+    const BoardRoute full = Router(rules, opts).route_board(fresh);
+    std::string why;
+    EXPECT_TRUE(routes_equivalent(session.layout(), session.route_state(), fresh, full, &why))
+        << why;
+    EXPECT_EQ(session.route_state().rerouted_members.size(), 2u) << "member 2 is kept";
+  }
+  const RouteResult& now = session.route_state().results.at(0);
+  EXPECT_FALSE(now.group.members.at(0).reached);
+  EXPECT_NE(now.group.max_error_pct, before.group.max_error_pct);
+  EXPECT_NE(now.cross_violations.size(), before.cross_violations.size());
+  EXPECT_FALSE(now.nets.at(1).violations.empty());
 }
 
 TEST(Session, ApplyOutcomeCorrelatesEditsWithJournalVersions) {

@@ -25,6 +25,7 @@
 #include "fault/cancel.hpp"
 #include "fault/fault_plan.hpp"
 #include "pipeline/session.hpp"
+#include "scenario/edit_storm.hpp"
 #include "scenario/service_storm.hpp"
 #include "service/routing_service.hpp"
 
@@ -438,6 +439,49 @@ TEST(RoutingService, QuarantineRevertsToLastGoodAndResurrectReplays) {
   const pipeline::BoardRoute full = router.route_board(f.layout);
   EXPECT_TRUE(pipeline::routes_equivalent(svc.board_layout(id), svc.board_route(id),
                                           f.layout, full, &why))
+      << why;
+}
+
+// Regression: a lowering failure commits the batch prefix before it throws
+// (Session::apply reroutes the prefix), and the service counts that prefix
+// as applied. The checkpoint must follow, or a later quarantine reverts the
+// prefix and serves a board behind its own `applied` count.
+TEST(RoutingService, QuarantineServesTheBatchPrefixALoweringFailureCommitted) {
+  const scenario::EditStormCase c = scenario::edit_storm_cases(true).at(0);
+  scenario::EditStorm storm = scenario::materialize_storm(c);
+  ASSERT_GE(storm.edits.size(), 2u);
+  const std::string id = c.name;
+
+  // Edit 1's lowering fails on every rung of the ladder.
+  auto plan = std::make_shared<fault::FaultPlan>();
+  plan->add({fault::apply_site(id), /*nth=*/2, /*count=*/3});
+
+  ServiceOptions sopts;
+  sopts.threads = 1;
+  sopts.max_attempts = 3;
+  sopts.fault_plan = plan;
+  RoutingService svc(sopts);
+  svc.add_board(id, storm.scenario.rules, storm_options(storm.scenario),
+                storm.scenario.layout);
+  svc.drain();
+  // Both queue before the serial service dispatches: one coalesced batch.
+  svc.submit(id, storm.edits.at(0));
+  svc.submit(id, storm.edits.at(1));
+  EXPECT_THROW(svc.drain(), ServiceError);
+
+  EXPECT_TRUE(svc.is_quarantined(id));
+  const BoardStats st = svc.stats(id);
+  EXPECT_EQ(st.applied, 1u);
+  EXPECT_EQ(st.dropped_edits, 1u);
+
+  scenario::Scenario prefix = scenario::materialize(c.base);
+  layout::apply_edit(prefix.layout, storm.edits.at(0));
+  const pipeline::Router router(prefix.rules, storm_options(prefix));
+  const pipeline::BoardRoute prefix_route = router.route_board(prefix.layout);
+  EXPECT_EQ(svc.board_layout(id).version(), prefix.layout.version());
+  std::string why;
+  EXPECT_TRUE(pipeline::routes_equivalent(svc.board_layout(id), svc.board_route(id),
+                                          prefix.layout, prefix_route, &why))
       << why;
 }
 
