@@ -4,7 +4,9 @@
 /// O(n * W)), and URA height solving is near-linear in nearby polygons.
 /// BM_HeightSolver times queries against one prebuilt solver;
 /// BM_HeightSolverPerSegment adds the per-(segment, side) build the
-/// extender pays before every DP.
+/// extender pays before every DP. BM_ExtendSaturated runs the whole of
+/// Alg. 1 on the saturated/narrow member, whose 100+ self-URAs make it the
+/// slowest single extension of the paper boards.
 
 #include <benchmark/benchmark.h>
 
@@ -12,6 +14,8 @@
 
 #include "core/height_solver.hpp"
 #include "core/segment_dp.hpp"
+#include "core/trace_extender.hpp"
+#include "scenario/scenario_families.hpp"
 
 namespace {
 
@@ -105,6 +109,30 @@ void BM_HeightSolverPerSegment(benchmark::State& state) {
   state.SetComplexityN(n_polys);
 }
 BENCHMARK(BM_HeightSolverPerSegment)->RangeMultiplier(4)->Range(4, 256)->Complexity();
+
+/// The saturated/narrow member extended from its pristine geometry with
+/// bench_suite's extender options (l_disc 0.5, width cap 24, the family's
+/// tolerance): the extension every paper-board batch route waits on.
+void BM_ExtendSaturated(benchmark::State& state) {
+  const lmr::scenario::Scenario sc =
+      lmr::scenario::materialize(lmr::scenario::family("saturated", false).cases.at(0));
+  const lmr::layout::MatchGroup& group = sc.layout.groups().at(0);
+  const lmr::layout::GroupMember& member = group.members.at(0);
+  lmr::core::ExtenderConfig cfg;
+  cfg.l_disc = 0.5;
+  cfg.max_width_steps = 24;
+  if (sc.spec.extender_tolerance > 0.0) cfg.tolerance = sc.spec.extender_tolerance;
+  lmr::core::TraceExtender ext(sc.rules, *sc.layout.routable_area(member.id));
+  std::size_t patterns = 0;
+  for (auto _ : state) {
+    lmr::layout::Trace trace = sc.layout.trace(member.id);
+    const lmr::core::ExtendStats st = ext.extend(trace, group.target_for(0), cfg);
+    patterns = static_cast<std::size_t>(st.patterns_inserted);
+    benchmark::DoNotOptimize(st.final_length);
+  }
+  state.counters["patterns"] = static_cast<double>(patterns);
+}
+BENCHMARK(BM_ExtendSaturated)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

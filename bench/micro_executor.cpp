@@ -1,12 +1,9 @@
 /// \file micro_executor.cpp
-/// Executor microbenchmarks: what the persistent pool buys over per-call
-/// `std::async` spawning, and what a repeated `route_batch` costs end to
-/// end.
+/// Executor microbenchmarks: the dispatch cost of the persistent pool, and
+/// what a repeated `route_batch` costs end to end.
 ///
-///  * PoolSubmitDrain vs AsyncSpawnDrain — pure dispatch overhead of one
-///    claimer-style fan-out (the seed router's pattern) with trivial tasks;
-///    the pool amortizes thread creation across calls, async pays it every
-///    time.
+///  * PoolSubmitDrain — pure dispatch overhead of one claimer-style fan-out
+///    with trivial tasks on a pool whose workers persist across calls.
 ///  * ParallelForDynamic — the helper the router actually calls, per
 ///    fan-out cost at several widths.
 ///  * RouteBatchRepeated — 1x route_batch on the multi_group/3x6 board per
@@ -17,7 +14,6 @@
 
 #include <atomic>
 #include <cstddef>
-#include <future>
 #include <vector>
 
 #include "exec/task_pool.hpp"
@@ -26,29 +22,7 @@
 
 namespace {
 
-/// Seed-style fan-out: spawn `threads` async claimers per call.
-void BM_AsyncSpawnDrain(benchmark::State& state) {
-  const std::size_t threads = static_cast<std::size_t>(state.range(0));
-  const std::size_t n = 16;
-  for (auto _ : state) {
-    std::atomic<std::size_t> next{0};
-    std::atomic<std::size_t> sum{0};
-    std::vector<std::future<void>> workers;
-    workers.reserve(threads);
-    for (std::size_t t = 0; t < threads; ++t) {
-      workers.push_back(std::async(std::launch::async, [&] {
-        for (std::size_t i = next.fetch_add(1); i < n; i = next.fetch_add(1)) {
-          sum.fetch_add(i, std::memory_order_relaxed);
-        }
-      }));
-    }
-    for (auto& f : workers) f.get();
-    benchmark::DoNotOptimize(sum.load());
-  }
-}
-BENCHMARK(BM_AsyncSpawnDrain)->Arg(2)->Arg(4)->Arg(8);
-
-/// Pool fan-out: same claimer count, workers persist across iterations.
+/// Pool fan-out: `threads` claimers, workers persist across iterations.
 void BM_PoolSubmitDrain(benchmark::State& state) {
   const std::size_t threads = static_cast<std::size_t>(state.range(0));
   const std::size_t n = 16;

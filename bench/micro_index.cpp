@@ -1,12 +1,13 @@
 /// \file micro_index.cpp
-/// Microbenchmarks for the uniform segment grid (O(1) insert/remove,
-/// O(cells + k) window visits) behind layout::ClearanceIndex. The
-/// ClearanceSweep trio times that index's sweep cold / warm / one-dirty on
-/// a synthetic worst case; BM_ClearanceSweepOneGroup re-sweeps a routed
-/// board after one group's re-insert. The ObstacleIndex pair times, on the
-/// full mega_board's obstacles, a full rebuild against moving one obstacle
-/// and updating the index in place — what an edit used to pay against what
-/// a Session pays now.
+/// Microbenchmarks for the uniform segment grid (counting-sort build at the
+/// first query, O(cells + k) window visits) behind layout::ClearanceIndex.
+/// The ClearanceSweep trio times that index's sweep cold / warm / one-dirty
+/// on a synthetic worst case; BM_ClearanceSweepOneGroup re-sweeps a routed
+/// board after one group's re-insert, and BM_ClearanceSweepRoutedGroup
+/// times the cold sweep a route pays per group. The ObstacleIndex pair
+/// times, on the full mega_board's obstacles, a full rebuild against moving
+/// one obstacle and updating the index in place — what an edit used to pay
+/// against what a Session pays now.
 
 #include <benchmark/benchmark.h>
 
@@ -37,6 +38,7 @@ std::vector<lmr::geom::Segment> random_segments(std::size_t n) {
   return segs;
 }
 
+/// The inserts plus the first query, which builds the grid.
 void BM_SegGridBuild(benchmark::State& state) {
   const auto segs = random_segments(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
@@ -44,7 +46,12 @@ void BM_SegGridBuild(benchmark::State& state) {
     for (std::size_t i = 0; i < segs.size(); ++i) {
       grid.insert(segs[i], static_cast<std::uint64_t>(i));
     }
-    benchmark::DoNotOptimize(grid.size());
+    std::size_t count = 0;
+    grid.visit({{500.0, 500.0}, {520.0, 520.0}}, [&](const auto&) {
+      ++count;
+      return true;
+    });
+    benchmark::DoNotOptimize(count);
   }
   state.SetComplexityN(state.range(0));
 }
@@ -191,6 +198,47 @@ void BM_ClearanceSweepOneGroup(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ClearanceSweepOneGroup)->Unit(benchmark::kMicrosecond);
+
+/// The cold cross-member sweep `Router::run` pays once per group, on a
+/// routed group: arg 0 is large_group/40's group, arg 1 Table I case 1's.
+/// Each iteration declares the group's slots in member order (a pair's
+/// sub-traces two slots of one net), inserts every member and sweeps.
+void BM_ClearanceSweepRoutedGroup(benchmark::State& state) {
+  using lmr::layout::Trace;
+  const char* family = state.range(0) == 0 ? "large_group" : "table1";
+  lmr::scenario::Scenario sc =
+      lmr::scenario::materialize(lmr::scenario::family(family, false).cases.at(0));
+  lmr::pipeline::RouterOptions opts;
+  opts.extender.l_disc = 0.5;
+  opts.extender.max_width_steps = 24;
+  if (sc.spec.extender_tolerance > 0.0) opts.extender.tolerance = sc.spec.extender_tolerance;
+  opts.run_drc = false;
+  (void)lmr::pipeline::Router(sc.rules, opts).route_all(sc.layout);
+
+  std::vector<std::pair<std::uint32_t, const Trace*>> slots;  // (net, trace)
+  std::uint32_t net = 0;
+  for (const lmr::layout::GroupMember& m : sc.layout.groups().at(0).members) {
+    if (m.kind == lmr::layout::MemberKind::SingleEnded) {
+      slots.emplace_back(net, &sc.layout.trace(m.id));
+    } else {
+      const lmr::layout::DiffPair& pair = sc.layout.pair(m.id);
+      slots.emplace_back(net, &pair.positive);
+      slots.emplace_back(net, &pair.negative);
+    }
+    ++net;
+  }
+  std::size_t segments = 0;
+  for (const auto& [n, t] : slots) segments += t->path.segment_count();
+  for (auto _ : state) {
+    lmr::layout::ClearanceIndex index(sc.rules, opts.drc);
+    for (const auto& [n, t] : slots) index.add_slot(t->width, n);
+    for (std::uint32_t k = 0; k < slots.size(); ++k) index.insert(k, *slots[k].second);
+    benchmark::DoNotOptimize(index.sweep().size());
+  }
+  state.SetLabel(sc.spec.name);
+  state.counters["segments"] = static_cast<double>(segments);
+}
+BENCHMARK(BM_ClearanceSweepRoutedGroup)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
 
 /// The full mega_board's obstacles (materialized once per process).
 const std::vector<lmr::layout::Obstacle>& mega_obstacles() {

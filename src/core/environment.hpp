@@ -5,11 +5,16 @@
 /// d_obs), and the URAs of the other segments of the trace under extension.
 ///
 /// Static polygons (area + obstacles) keep their bounding boxes in a flat
-/// list for edge-level prefiltering; HeightSolver scans the nodes of the
-/// polygons `collect` returns for Alg. 2 (§IV-D) directly, with no range
-/// tree. Dynamic polygons (the trace's self-URAs, which change after every
-/// insertion) are swapped per segment and scanned linearly — there are at
-/// most a few dozen.
+/// list for edge-level prefiltering. Dynamic polygons (the trace's
+/// self-URAs, which change after every insertion) are swapped per segment
+/// and scanned linearly: one per segment of the trace, so a straight member
+/// starts with a handful and a saturated one (the `saturated` family's
+/// 36-pattern meander) carries 100+. `collect` returns both kinds for one
+/// segment's reach; HeightSolver transforms them into its local frame once
+/// and orders them by lowest ordinate, so a height query stops scanning at
+/// the first polygon above its running hob (see height_solver.hpp). Alg. 2's
+/// node check (§IV-D) scans the candidates' nodes directly, with no range
+/// tree.
 
 #include <cstdint>
 #include <vector>

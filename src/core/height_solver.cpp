@@ -4,6 +4,7 @@
 #include <array>
 #include <cmath>
 #include <limits>
+#include <span>
 
 #include "geom/distance.hpp"
 #include "geom/intersect.hpp"
@@ -42,7 +43,18 @@ HeightSolver::HeightSolver(std::vector<LocalPoly> polys, double half)
       lp.finite = lp.finite && std::isfinite(p.x) && std::isfinite(p.y);
     }
   }
-  cand_.reserve(polys_.size());
+  // Outer borders start at y = 0, so a polygon with an empty bbox or one
+  // wholly below -kStrict fails every candidate test and is left out.
+  order_.reserve(polys_.size());
+  for (std::size_t i = 0; i < polys_.size(); ++i) {
+    const LocalPoly& lp = polys_[i];
+    if (lp.bbox.empty() || !(0.0 <= lp.bbox.hi.y + kStrict)) continue;
+    order_.push_back({lp.finite ? lp.min_y : -std::numeric_limits<double>::infinity(), i});
+  }
+  std::sort(order_.begin(), order_.end(), [](const Ranked& a, const Ranked& b) {
+    return a.low < b.low || (a.low == b.low && a.idx < b.idx);
+  });
+  cand_.reserve(order_.size());
 }
 
 HeightSolver HeightSolver::for_segment(const Environment& env, const geom::Segment& s, int dir,
@@ -74,34 +86,28 @@ HeightSolver HeightSolver::for_segment(const Environment& env, const geom::Segme
   return HeightSolver{std::move(locals), half};
 }
 
-double HeightSolver::shrink_by_sides(const UraBorders& b) const {
-  double hob = b.hob;
-  const geom::Box outer = b.outer();
-  const geom::Segment left{{outer.lo.x, 0.0}, {outer.lo.x, b.hob}};
-  const geom::Segment right{{outer.hi.x, 0.0}, {outer.hi.x, b.hob}};
-  // An edge whose extent misses a side's abscissa, or the side's [0, hob]
-  // span, by more than kSideReach cannot meet that side:
+double HeightSolver::shrink_by_sides(const LocalPoly& lp, const geom::Segment& left,
+                                     const geom::Segment& right, double hob) const {
+  // An edge whose extent misses a side's abscissa, or the [0, hob] span, by
+  // more than kSideReach cannot meet that side below hob:
   // segment_intersection's endpoint tolerance is kEps along the edge and
   // along the side, and its rounding is far below the margin at any board
-  // scale. So only calls that would return nullopt are skipped. Polygons
+  // scale. So only calls that could not lower hob are skipped. Polygons
   // with a non-finite node get no prefilter: an edge running to x = ±inf
   // meets both sides at its finite end's y.
   const auto meets = [](double lo, double hi, double from, double to) {
     return lo <= to + kSideReach && hi >= from - kSideReach;
   };
-  for (const Cand& c : cand_) {
-    const LocalPoly& lp = polys_[c.idx];
-    for (std::size_t e = 0; e < lp.poly.size(); ++e) {
-      const geom::Segment edge = lp.poly.edge(e);
-      const auto [ylo, yhi] = std::minmax(edge.a.y, edge.b.y);
-      if (lp.finite && !meets(ylo, yhi, 0.0, b.hob)) continue;
-      const auto [xlo, xhi] = std::minmax(edge.a.x, edge.b.x);
-      if (!lp.finite || meets(xlo, xhi, left.a.x, left.a.x)) {
-        if (auto p = geom::segment_intersection(edge, left)) hob = std::min(hob, p->y);
-      }
-      if (!lp.finite || meets(xlo, xhi, right.a.x, right.a.x)) {
-        if (auto p = geom::segment_intersection(edge, right)) hob = std::min(hob, p->y);
-      }
+  for (std::size_t e = 0; e < lp.poly.size(); ++e) {
+    const geom::Segment edge = lp.poly.edge(e);
+    const auto [ylo, yhi] = std::minmax(edge.a.y, edge.b.y);
+    if (lp.finite && !meets(ylo, yhi, 0.0, hob)) continue;
+    const auto [xlo, xhi] = std::minmax(edge.a.x, edge.b.x);
+    if (!lp.finite || meets(xlo, xhi, left.a.x, left.a.x)) {
+      if (auto p = geom::segment_intersection(edge, left)) hob = std::min(hob, p->y);
+    }
+    if (!lp.finite || meets(xlo, xhi, right.a.x, right.a.x)) {
+      if (auto p = geom::segment_intersection(edge, right)) hob = std::min(hob, p->y);
     }
   }
   return hob;
@@ -115,11 +121,16 @@ double HeightSolver::shrink_by_nodes(UraBorders b) const {
     // --- classify nodes against the current outer border ---
     // A node strictly inside it lies in the initial outer border, so its
     // polygon is a candidate; counts and minima do not depend on order.
+    // Candidates run in `order_` order, so the ones from the first finite
+    // polygon with no node below hob - kStrict on have no inside node.
     const geom::Box outer = b.outer();
-    for (Cand& c : cand_) {
+    std::size_t n = 0;
+    for (; n < cand_.size(); ++n) {
+      Cand& c = cand_[n];
+      if (c.at.low >= b.hob - kStrict) break;
       c.inside = 0;
       c.inside_min_y = std::numeric_limits<double>::infinity();
-      for (const geom::Point& p : polys_[c.idx].poly.points()) {
+      for (const geom::Point& p : polys_[c.at.idx].poly.points()) {
         if (strictly_inside(outer, p)) {
           c.inside += 1;
           c.inside_min_y = std::min(c.inside_min_y, p.y);
@@ -130,8 +141,9 @@ double HeightSolver::shrink_by_nodes(UraBorders b) const {
     double new_hob = b.hob;
     // Hat rule (Eq. 12): partially-inside polygons cap hob at their lowest
     // inside node.
-    for (const Cand& c : cand_) {
-      if (c.inside == 0 || c.inside == polys_[c.idx].poly.size()) continue;
+    const std::span<const Cand> classified(cand_.data(), n);
+    for (const Cand& c : classified) {
+      if (c.inside == 0 || c.inside == polys_[c.at.idx].poly.size()) continue;
       new_hob = std::min(new_hob, c.inside_min_y);
     }
     if (new_hob < b.hob - kStrict) {
@@ -144,8 +156,8 @@ double HeightSolver::shrink_by_nodes(UraBorders b) const {
     // whole polygon.
     const geom::Box inner = b.inner();
     const bool inner_usable = !b.inner_empty();
-    for (const Cand& c : cand_) {
-      const LocalPoly& lp = polys_[c.idx];
+    for (const Cand& c : classified) {
+      const LocalPoly& lp = polys_[c.at.idx];
       if (c.inside != lp.poly.size() || lp.poly.empty()) continue;
       bool ok = inner_usable && lp.kind == EnvKind::Obstacle;
       if (ok) {
@@ -168,34 +180,38 @@ double HeightSolver::max_height(double x0, double x1, double h_request) const {
   if (h_request <= 0.0 || x1 - x0 <= kStrict) return 0.0;
   UraBorders b{x0, x1, half_, h_request + half_};
 
-  // Candidate polygons: bbox overlap with the initial outer border.
+  // Candidate polygons: bbox overlap with the initial outer border. The
+  // sides keep that border's [0, hob] span for the whole pass:
+  // segment_intersection's rounding depends on the side's length.
   const geom::Box outer = b.outer();
+  const geom::Segment left{{outer.lo.x, 0.0}, {outer.lo.x, b.hob}};
+  const geom::Segment right{{outer.hi.x, 0.0}, {outer.hi.x, b.hob}};
+  double hob = b.hob;
   cand_.clear();
-  for (std::size_t i = 0; i < polys_.size(); ++i) {
-    if (polys_[i].bbox.intersects(outer, kStrict)) cand_.push_back({i});
-  }
-  if (cand_.empty()) return b.pattern_height();
-
-  // Solid polygons that straddle the base line inside the border are
-  // invisible to the node-based shrinking below: their sub-base nodes fail
-  // `strictly_inside` and a side edge that coincides with the border crosses
-  // it only collinearly, so neither Eq. 12 nor the side rule fires. The one
-  // producer of such polygons is the untrimmed URA of an adjacent segment
-  // shorter than `half` (self_uras keeps its far end protected, so the URA
-  // reaches across the joint). Any pattern on this span would rise straight
-  // through it — the exhaustive oracle rejects every such height, so the
-  // fast path must too.
-  for (const Cand& c : cand_) {
-    const LocalPoly& lp = polys_[c.idx];
-    if (lp.kind == EnvKind::AreaOutline) continue;
-    if (lp.bbox.lo.y < -kStrict && lp.bbox.hi.y > kStrict &&
+  for (const Ranked& r : order_) {
+    // Ascending `low`: this polygon and every later one lie above hob.
+    if (r.low > hob + kSideReach) break;
+    const LocalPoly& lp = polys_[r.idx];
+    if (!lp.bbox.intersects(outer, kStrict)) continue;
+    cand_.push_back({r});
+    // Solid polygons that straddle the base line inside the border are
+    // invisible to the node-based shrinking below: their sub-base nodes
+    // fail `strictly_inside` and a side edge that coincides with the border
+    // crosses it only collinearly, so neither Eq. 12 nor the side rule
+    // fires. The one producer of such polygons is the untrimmed URA of an
+    // adjacent segment shorter than `half` (self_uras keeps its far end
+    // protected, so the URA reaches across the joint). Any pattern on this
+    // span would rise straight through it — the exhaustive oracle rejects
+    // every such height, so the fast path must too.
+    if (lp.kind != EnvKind::AreaOutline && lp.bbox.lo.y < -kStrict && lp.bbox.hi.y > kStrict &&
         lp.bbox.lo.x < outer.hi.x - kStrict && lp.bbox.hi.x > outer.lo.x + kStrict) {
       return 0.0;
     }
+    hob = shrink_by_sides(lp, left, right, hob);
+    if (hob <= half_) return 0.0;  // later shrinks only lower it
   }
-
-  b.hob = shrink_by_sides(b);
-  if (b.hob <= half_) return 0.0;
+  if (cand_.empty()) return b.pattern_height();
+  b.hob = hob;
   b.hob = shrink_by_nodes(b);
   return b.pattern_height();
 }

@@ -24,11 +24,14 @@
 ///     cached violations of every pair of two clean slots are kept as they
 ///     are; each dirty slot's segments window-query every slot's segments,
 ///     and the fresh violations are merged with the kept ones by key. A
-///     cold sweep is the same pass with every slot dirty. A sweep with no
-///     intervening insert/remove returns the cached violations without
-///     touching the grid at all. `sweep()` must not race with
-///     `insert`/`remove` or another `sweep` on the same index — it is the
-///     barrier.
+///     cold sweep is the same pass with every slot dirty: its inserts only
+///     record the segments, and its first window query builds the grid's
+///     dense cell arrays in one counting sort, sized to what was inserted.
+///     Later sweeps edit the built grid's per-cell lists for the dirty
+///     slots' segments only. A sweep with no intervening insert/remove
+///     returns the cached violations without touching the grid at all.
+///     `sweep()` must not race with `insert`/`remove` or another `sweep`
+///     on the same index — it is the barrier.
 ///
 /// The output is identical — same violations, same order — to running
 /// `DrcChecker::check_trace_pair` over every pair of inserted slots a < b
@@ -116,9 +119,9 @@ class ClearanceIndex {
 
   drc::DesignRules rules_;
   DrcCheckOptions opts_;
-  /// Widest declared slot. Sizes the grid cells when the first sweep builds
-  /// the grid, and every sweep's query windows (so a wider slot declared
-  /// later widens the windows, never the cells).
+  /// Widest declared slot. Sizes the grid cells (the grid may coarsen them
+  /// when it builds) on the first sweep, and every sweep's query windows (so
+  /// a wider slot declared later widens the windows, never the cells).
   double max_width_ = 0.0;
   std::vector<Slot> slots_;
   /// Per-slot mutation counter: bumped by insert()/remove(). Epoch

@@ -259,12 +259,13 @@ std::vector<Violation> DrcChecker::check_layout(const Layout& layout,
   // Per-trace rules, then one clearance slot per trace. A single-ended trace
   // is its own net; a pair's sub-traces share one and are checked the way
   // Router::run checks a differential member: under the pair's width and
-  // against the pair's routable area.
+  // against the pair's routable area, through one obstacle index.
   ClearanceIndex index(rules, opts_);
+  const ObstacleIndex obstacles(layout.obstacles());
   const auto check_one = [&](const Trace& t, const drc::DesignRules& r,
                              const RoutableArea* area, std::uint32_t net) {
     append(check_trace(t, r));
-    append(check_obstacles(t, r, layout.obstacles()));
+    append(check_obstacles(t, r, obstacles));
     if (area != nullptr) append(check_containment(t, *area));
     index.insert(index.add_slot(t.width, net), t);
   };

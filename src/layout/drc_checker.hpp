@@ -80,7 +80,8 @@ class DrcChecker {
                                                    const drc::DesignRules& rules) const;
 
   /// Trace vs obstacle clearances: every obstacle against every segment.
-  /// The brute-force reference the indexed overload is tested against.
+  /// The brute-force reference the indexed overload is tested against (and
+  /// the call lmrbench's layer replay times).
   [[nodiscard]] std::vector<Violation> check_obstacles(
       const Trace& t, const drc::DesignRules& rules,
       const std::vector<Obstacle>& obstacles) const;
@@ -102,10 +103,10 @@ class DrcChecker {
                                                         const drc::DesignRules& rules) const;
 
   /// Full sweep over a layout: every trace and every differential pair's
-  /// two sub-traces against their rules/area/obstacles, then TraceGap over
-  /// all of them through a ClearanceIndex (a pair's sub-traces are one net,
-  /// never checked against each other). Traces come first, in id order,
-  /// then pairs, in id order.
+  /// two sub-traces against their rules/area/obstacles (obstacles through
+  /// one ObstacleIndex per call), then TraceGap over all of them through a
+  /// ClearanceIndex (a pair's sub-traces are one net, never checked against
+  /// each other). Traces come first, in id order, then pairs, in id order.
   [[nodiscard]] std::vector<Violation> check_layout(const Layout& layout,
                                                     const drc::DesignRules& rules) const;
 

@@ -409,5 +409,81 @@ TEST(HeightSolver, ExhaustiveOracleAgreesOnRandomScenes) {
   EXPECT_GT(shrunk, compared / 4);  // most queries exercise the shrinking
 }
 
+TEST(HeightSolver, DenseScenesMatchTheReferenceExactly) {
+  // The ordered scan stops at the first polygon above the running hob and
+  // classifies only the candidates below it. Dense scenes make that skip
+  // the common case: 20-200 self-URA rectangles at every angle stacked
+  // above and below the base line, an area outline, polygons wholly below
+  // the base line, an empty polygon, a ±inf node and a NaN node. Every
+  // query must return exactly the reference's height, at scales 1, 1e-3
+  // and 1e4, and most polygons must lie above the returned height.
+  std::mt19937_64 rng(2407);
+  std::uniform_real_distribution<double> u01(0.0, 1.0);
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  constexpr std::array<double, 3> kScales{1.0, 1e-3, 1e4};
+  std::size_t compared = 0, above = 0, pairs = 0, positive = 0, shrunk = 0;
+  for (int scene_no = 0; scene_no < 40; ++scene_no) {
+    std::vector<LocalPoly> scene;
+    const int n_uras = 20 + static_cast<int>(u01(rng) * 170.0);
+    for (int k = 0; k < n_uras; ++k) {
+      // Rows of leg URAs from y = -6 to y = 40, at every angle.
+      const Point at{32.0 * u01(rng), -6.0 + 46.0 * u01(rng)};
+      const double ang = 3.14159265 * u01(rng);
+      const Point to = at + geom::Vec2{std::cos(ang), std::sin(ang)} * (0.3 + 4.0 * u01(rng));
+      LocalPoly lp;
+      lp.poly = ura_of_segment({at, to}, kHalf);
+      lp.kind = EnvKind::SelfUra;
+      scene.push_back(std::move(lp));
+    }
+    for (int k = 0; k < 4; ++k) {
+      const double x = 30.0 * u01(rng);
+      scene.push_back(obstacle(Polygon::rect({{x, -5.0 + 3.0 * u01(rng)}, {x + 1.5, -1.0}})));
+      const double ox = 30.0 * u01(rng), oy = 1.0 + 12.0 * u01(rng);
+      scene.push_back(obstacle(Polygon::rect({{ox, oy}, {ox + 0.8, oy + 0.8}})));
+    }
+    scene.push_back(wall(Polygon::rect({{-5.0, -8.0}, {40.0, 8.0 + 40.0 * u01(rng)}})));
+    scene.push_back(obstacle(Polygon{}));
+    const double xi = 30.0 * u01(rng), yi = 1.0 + 10.0 * u01(rng);
+    scene.push_back(obstacle(Polygon{{{xi, yi}, {scene_no % 2 == 0 ? inf : -inf, yi},
+                                      {xi + 1.0, yi + 2.0}}}));
+    const double xn = 30.0 * u01(rng), yn = 1.0 + 10.0 * u01(rng);
+    scene.push_back(obstacle(Polygon{{{xn, yn}, {nan, yn + 1.0}, {xn + 1.0, yn + 2.0}}}));
+
+    std::vector<std::array<double, 3>> queries;
+    for (int q = 0; q < 30; ++q) {
+      const double x0 = 30.0 * u01(rng);
+      queries.push_back({x0, x0 + 0.2 + 8.0 * u01(rng), 0.2 + 12.0 * u01(rng)});
+    }
+    for (const double scale : kScales) {
+      std::vector<LocalPoly> polys;
+      for (const LocalPoly& lp : scene) {
+        LocalPoly scaled = lp;
+        for (Point& p : scaled.poly.points()) p = p * scale;
+        polys.push_back(std::move(scaled));
+      }
+      const HeightSolver s(std::move(polys), kHalf * scale);
+      for (const auto& [x0u, x1u, hu] : queries) {
+        const double x0 = x0u * scale, x1 = x1u * scale, req = hu * scale;
+        const double got = s.max_height(x0, x1, req);
+        ASSERT_EQ(got, reference_max_height(s, x0, x1, req))
+            << "scene " << scene_no << " scale " << scale << " feet " << x0 << ".." << x1
+            << " request " << req;
+        ++compared;
+        positive += got > 0.0 ? 1 : 0;
+        shrunk += got > 0.0 && got < req ? 1 : 0;
+        for (const LocalPoly& lp : s.polys()) {
+          ++pairs;
+          above += lp.min_y > got + s.half() ? 1 : 0;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(compared, 40u * 3u * 30u);
+  EXPECT_GT(positive, compared / 4) << "a quarter of the queries must find room";
+  EXPECT_GT(shrunk, compared / 10) << "a tenth must be shrunk below their request";
+  EXPECT_GT(above, pairs / 2) << "most polygons must lie above the returned height";
+}
+
 }  // namespace
 }  // namespace lmr::core

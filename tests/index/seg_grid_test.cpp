@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <random>
 #include <vector>
 
@@ -13,7 +14,9 @@
 /// `visit_above` filtering exactly by payload floor. The superset check runs
 /// against an exact brute-force segment/box intersection over randomized
 /// mixed workloads — short legs, long diagonals (cell-walk registration),
-/// degenerate points, axis-aligned runs.
+/// degenerate points, axis-aligned runs — on both sides of the build the
+/// first query runs, and on hostile geometry (NaN, ±inf, 1e300, segments
+/// far outside the built extent).
 
 namespace lmr::index {
 namespace {
@@ -245,6 +248,183 @@ TEST(SegGrid, ChurnKeepsSupersetGuarantee) {
       EXPECT_TRUE(std::any_of(live.begin(), live.end(),
                               [&](const LiveSeg& ls) { return ls.payload == p; }))
           << "step " << step << " reported removed payload " << p;
+    }
+  }
+}
+
+/// Every payload `grid.visit(box)` reports, failing the test on a repeat.
+std::vector<std::uint64_t> reported(const SegGrid& grid, const Box& box,
+                                    std::uint64_t floor = 0) {
+  std::vector<std::uint64_t> out;
+  grid.visit_above(box, floor, [&](const SegGrid::Entry& e) {
+    out.push_back(e.payload);
+    return true;
+  });
+  std::sort(out.begin(), out.end());
+  EXPECT_TRUE(std::adjacent_find(out.begin(), out.end()) == out.end())
+      << "an entry was reported twice in one query";
+  return out;
+}
+
+bool has(const std::vector<std::uint64_t>& sorted, std::uint64_t p) {
+  return std::binary_search(sorted.begin(), sorted.end(), p);
+}
+
+TEST(SegGrid, HostileEndpointsAreNeverMissed) {
+  // Segments with a NaN, ±inf or 1e300 endpoint, before and after the
+  // build: a cell-coordinate cast of such a value is undefined behaviour,
+  // and a segment that lands in no cell is silently missed. Each must be
+  // reported by a window around its finite end.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<Segment> hostile{
+      {{5, 5}, {nan, 5}},  {{5, 5}, {5, nan}},   {{5, 5}, {inf, 5}},  {{5, 5}, {-inf, 5}},
+      {{5, 5}, {5, inf}},  {{5, 5}, {inf, inf}}, {{5, 5}, {1e300, 5}}, {{5, 5}, {-1e300, -1e300}},
+      {{5, 5}, {1e20, 5}}, {{5, 5}, {5, -1e30}}};
+  for (const bool before_build : {true, false}) {
+    SegGrid grid(1.0);
+    grid.insert({{0, 0}, {10, 10}}, 1000);  // an ordinary entry sets the extent
+    if (!before_build) (void)reported(grid, Box{{0, 0}, {1, 1}});
+    for (std::size_t i = 0; i < hostile.size(); ++i) grid.insert(hostile[i], i);
+    const std::vector<std::uint64_t> near = reported(grid, Box{{4.9, 4.9}, {5.1, 5.1}});
+    for (std::size_t i = 0; i < hostile.size(); ++i) {
+      EXPECT_TRUE(has(near, i)) << "segment " << i << (before_build ? " before" : " after")
+                                << " the build";
+    }
+    EXPECT_TRUE(has(near, 1000));
+    // Hostile windows are defined behaviour too, and a whole-plane window
+    // reports every entry.
+    (void)reported(grid, Box{{nan, nan}, {nan, nan}});
+    const std::vector<std::uint64_t> all = reported(grid, Box{{-inf, -inf}, {inf, inf}});
+    EXPECT_EQ(all.size(), hostile.size() + 1);
+  }
+}
+
+TEST(SegGrid, SegmentLongerThanTheWalkCapIsKept) {
+  // After the build the grid only walks segments that fit its rows and
+  // columns; a diagonal a million cells long goes on the always-visited
+  // list, and one that leaves the extent but still fits is walked through
+  // the clamped border cells. Both must be found along their whole run.
+  SegGrid grid(1.0);
+  grid.insert({{0, 0}, {20, 0}}, 0);
+  grid.insert({{0, 20}, {20, 20}}, 1);
+  (void)reported(grid, Box{{0, 0}, {1, 1}});
+  const Segment huge{{-3, -2}, {1e6, 7e5}};
+  const Segment outside{{-30, 5}, {50, 45}};
+  grid.insert(huge, 2);
+  grid.insert(outside, 3);
+  for (const auto& [seg, payload] : {std::pair{huge, 2u}, std::pair{outside, 3u}}) {
+    for (int k = 0; k <= 400; ++k) {
+      const Point p = seg.at(static_cast<double>(k) / 400.0);
+      EXPECT_TRUE(has(reported(grid, Box{p, p}.inflated(0.01)), payload))
+          << "payload " << payload << " missed at step " << k;
+    }
+  }
+}
+
+TEST(SegGrid, InsertsOutsideTheBuiltExtentLandInBorderCells) {
+  SegGrid grid(1.0);
+  for (int i = 0; i < 10; ++i) {
+    const double x = static_cast<double>(i);
+    grid.insert({{x, x}, {x + 0.5, x}}, static_cast<std::uint64_t>(i));
+  }
+  (void)reported(grid, Box{{0, 0}, {1, 1}});  // builds over [0, 9.5] x [0, 9]
+  const std::vector<Segment> far{{{-40, 3}, {-39, 3}},   {{3, 80}, {3.5, 81}},
+                                 {{200, -200}, {201, -199}}, {{-5, -5}, {-5, -5}},
+                                 {{12, 4}, {30, 4}}};
+  for (std::size_t i = 0; i < far.size(); ++i) grid.insert(far[i], 100 + i);
+  for (std::size_t i = 0; i < far.size(); ++i) {
+    const Point mid = far[i].at(0.5);
+    EXPECT_TRUE(has(reported(grid, Box{mid, mid}.inflated(0.1)), 100 + i)) << "far " << i;
+  }
+  // A window over every cell reports each entry once (`reported` checks).
+  EXPECT_EQ(reported(grid, Box{{-1e9, -1e9}, {1e9, 1e9}}).size(), 10 + far.size());
+}
+
+TEST(SegGrid, ChurnAcrossTheBuildKeepsTheContract) {
+  // Seeded churn checked against a brute-force mirror after every step:
+  // inserts before and after the first query, removals of entries that sit
+  // in the built CSR slices, of entries an edit placed and of entries on
+  // the always-visited list, id recycling, inserts far outside the built
+  // extent or too long to walk, and a grid whose cells the build
+  // coarsened (sparse entries over a wide area) or kept at the requested
+  // size (dense entries).
+  for (const bool sparse : {false, true}) {
+    std::mt19937_64 rng(sparse ? 11 : 5);
+    const double span = sparse ? 4000.0 : 12.0;
+    std::uniform_real_distribution<double> u(0.0, span);
+    std::uniform_real_distribution<double> leg(-4.0, 4.0);
+    SegGrid grid(2.0);
+    struct LiveSeg {
+      std::uint32_t id;
+      Segment seg;
+      std::uint64_t payload;
+    };
+    std::vector<LiveSeg> live;
+    std::vector<std::uint64_t> dead;
+    std::uint64_t next_payload = 0;
+    bool built = false;
+    const double inf = std::numeric_limits<double>::infinity();
+    const auto random_segment = [&]() -> Segment {
+      const Point a{u(rng), u(rng)};
+      switch (rng() % 8) {
+        case 0:
+          return {a, a};
+        case 1:  // long diagonal
+          return {a, {a.x + 0.5 * u(rng), a.y + 0.5 * u(rng)}};
+        case 2:  // beyond the build-time extent
+          return built ? Segment{{a.x + 2.0 * span, a.y - 3.0 * span}, {a.x + 2.0 * span, a.y}}
+                       : Segment{a, {a.x + leg(rng), a.y}};
+        case 3:  // never gridded: always visited
+          return {a, {rng() % 2 == 0 ? inf : 1e300, a.y}};
+        case 4:  // longer than the built grid's walk
+          return built ? Segment{a, {a.x + 1e7 * span, a.y + 1e7 * span}}
+                       : Segment{a, {a.x, a.y + leg(rng)}};
+        default:
+          return {a, {a.x + leg(rng), a.y + leg(rng)}};
+      }
+    };
+    for (int step = 0; step < 600; ++step) {
+      const bool remove = !live.empty() && rng() % 3 == 0;
+      if (remove) {
+        const std::size_t k = rng() % live.size();
+        grid.remove(live[k].id);
+        dead.push_back(live[k].payload);
+        live.erase(live.begin() + static_cast<std::ptrdiff_t>(k));
+      } else {
+        const Segment s = random_segment();
+        const std::uint32_t id = grid.insert(s, next_payload);
+        for (const LiveSeg& ls : live) ASSERT_NE(ls.id, id) << "a live id was handed out";
+        live.push_back({id, s, next_payload++});
+      }
+      ASSERT_EQ(grid.size(), live.size());
+      // No query for the first 150 steps: those inserts and removals all
+      // happen before the build.
+      if (step < 150) continue;
+      built = true;
+      const Point lo{u(rng), u(rng)};
+      const Box windows[] = {Box{lo, {lo.x + 0.1 * span, lo.y + 0.1 * span}},
+                             live.empty() ? Box{lo, lo} : live[rng() % live.size()].seg.bbox()};
+      const std::uint64_t floor = rng() % 2 == 0 ? 0 : next_payload / 2;
+      for (const Box& box : windows) {
+        const std::vector<std::uint64_t> got = reported(grid, box, floor);
+        for (const LiveSeg& ls : live) {
+          if (ls.payload < floor) {
+            EXPECT_FALSE(has(got, ls.payload)) << "step " << step << " below the floor";
+          } else if (seg_intersects_box(ls.seg, box)) {
+            EXPECT_TRUE(has(got, ls.payload))
+                << "step " << step << " missed live payload " << ls.payload;
+          }
+        }
+        for (const std::uint64_t p : dead) {
+          EXPECT_FALSE(has(got, p)) << "step " << step << " reported removed payload " << p;
+        }
+      }
+    }
+    if (sparse) {
+      EXPECT_GT(grid.cell(), 2.0) << "the sparse grid's build must coarsen its cells";
+    } else {
+      EXPECT_EQ(grid.cell(), 2.0);
     }
   }
 }

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <deque>
+#include <limits>
 #include <map>
 #include <numeric>
 #include <random>
@@ -460,6 +461,32 @@ TEST(ClearanceIndex, MoveLeavesMovedFromEmptyAndReusable) {
   ClearanceIndex assigned(b.rules);
   assigned = std::move(moved);
   EXPECT_TRUE(same_violations(assigned.sweep(), reference));
+}
+
+TEST(ClearanceIndex, OverLongAndNonFiniteSegmentsAreSwept) {
+  // A segment running out to 1e20 (or 1e30, 1e300, +inf) once landed in no
+  // grid cell: its cell coordinate and its walk's step count overflowed
+  // their integer casts. The sweep then missed its violation against a
+  // neighbour 0.3 away that the brute force finds.
+  drc::DesignRules rules;
+  rules.gap = 1.0;
+  rules.trace_width = 0.0;
+  for (const double far : {1e20, 1e30, 1e300, std::numeric_limits<double>::infinity()}) {
+    Trace a;
+    a.id = 1;
+    a.width = 0.0;
+    a.path = geom::Polyline{{{0.0, 0.0}, {10.0, 0.0}, {far, 0.0}}};
+    Trace b;
+    b.id = 2;
+    b.width = 0.0;
+    b.path = geom::Polyline{{{0.0, 0.3}, {10.0, 0.3}}};
+    const std::vector<oracle::Slot> slots{{&a, 0}, {&b, 1}};
+    const auto reference = oracle::sweep(slots, rules);
+    ASSERT_EQ(reference.size(), 2u) << "far end " << far;
+    ClearanceIndex index(rules);
+    declare_and_insert(index, slots);
+    EXPECT_TRUE(same_violations(index.sweep(), reference)) << "far end " << far;
+  }
 }
 
 }  // namespace

@@ -11,7 +11,10 @@
 #include <random>
 #include <string>
 
+#include "clearance_oracle.hpp"
 #include "geom/distance.hpp"
+#include "layout/clearance_index.hpp"
+#include "scenario/scenario_families.hpp"
 
 namespace lmr::layout {
 namespace {
@@ -342,6 +345,46 @@ TEST(DrcChecker, LayoutSweepChecksDifferentialPairs) {
   EXPECT_NEAR(gaps[0].measured, 0.3, 1e-12);
   ASSERT_FALSE(uncontained.empty());
   for (const TraceId id : uncontained) EXPECT_EQ(id, 4u);
+}
+
+TEST(DrcChecker, LayoutSweepMatchesTheBruteForceObstacleScan) {
+  // check_layout filters obstacles through one ObstacleIndex per call. Its
+  // output must equal, field for field and in order, the same sweep spelled
+  // out with the every-obstacle overload. The obstacle rule is inflated so
+  // the generated boards (born legal) give the comparison real violations.
+  for (const char* name : {"obstacle_sweep", "mixed_se_diff", "mega_board"}) {
+    const scenario::Scenario sc = scenario::materialize(scenario::family(name, true).cases.at(0));
+    const Layout& l = sc.layout;
+    drc::DesignRules r = sc.rules;
+    r.obs *= 3.0;
+    const DrcChecker checker;
+    std::vector<Violation> want;
+    const auto append = [&want](const std::vector<Violation>& v) {
+      want.insert(want.end(), v.begin(), v.end());
+    };
+    ClearanceIndex index(r);
+    std::size_t obstacle_hits = 0;
+    const auto check_one = [&](const Trace& t, const drc::DesignRules& tr,
+                               const RoutableArea* area, std::uint32_t net) {
+      append(checker.check_trace(t, tr));
+      const auto obs = checker.check_obstacles(t, tr, l.obstacles());
+      obstacle_hits += obs.size();
+      append(obs);
+      if (area != nullptr) append(checker.check_containment(t, *area));
+      index.insert(index.add_slot(t.width, net), t);
+    };
+    std::uint32_t net = 0;
+    for (const auto& [id, t] : l.traces()) check_one(t, r, l.routable_area(id), net++);
+    for (const auto& [id, pair] : l.pairs()) {
+      drc::DesignRules pair_rules = r;
+      pair_rules.trace_width = pair.positive.width;
+      check_one(pair.positive, pair_rules, l.routable_area(id), net);
+      check_one(pair.negative, pair_rules, l.routable_area(id), net++);
+    }
+    append(index.sweep());
+    EXPECT_GT(obstacle_hits, 0u) << name << ": the inflated rule must reach obstacles";
+    EXPECT_TRUE(oracle::same_violations(checker.check_layout(l, r), want)) << name;
+  }
 }
 
 TEST(DrcChecker, ContainmentMatchesUnfilteredHoleLoop) {
