@@ -281,6 +281,46 @@ void BM_ObstacleIndexEdit(benchmark::State& state) {
 }
 BENCHMARK(BM_ObstacleIndexEdit)->Unit(benchmark::kMicrosecond);
 
+/// The indexed per-net obstacle check a route pays: arg 0 routes the full
+/// mega_board, arg 1 the smoke one, and each iteration runs
+/// DrcChecker::check_obstacles through one ObstacleIndex over every routed
+/// trace (a pair's sub-traces under the pair's width, as the Router checks
+/// them).
+void BM_ObstacleIndexQuery(benchmark::State& state) {
+  using lmr::layout::Trace;
+  lmr::scenario::Scenario sc = lmr::scenario::materialize(
+      lmr::scenario::family("mega_board", state.range(0) != 0).cases.at(0));
+  lmr::pipeline::RouterOptions opts;
+  opts.extender.l_disc = 0.5;
+  opts.extender.max_width_steps = 24;
+  opts.run_drc = false;
+  (void)lmr::pipeline::Router(sc.rules, opts).route_all(sc.layout);
+
+  std::vector<std::pair<const Trace*, lmr::drc::DesignRules>> traces;
+  for (const auto& [id, t] : sc.layout.traces()) traces.emplace_back(&t, sc.rules);
+  for (const auto& [id, pair] : sc.layout.pairs()) {
+    lmr::drc::DesignRules sub = sc.rules;
+    sub.trace_width = pair.positive.width;
+    traces.emplace_back(&pair.positive, sub);
+    traces.emplace_back(&pair.negative, sub);
+  }
+  std::size_t segments = 0;
+  for (const auto& [t, rules] : traces) segments += t->path.segment_count();
+  const lmr::layout::ObstacleIndex index(sc.layout.obstacles());
+  const lmr::layout::DrcChecker checker(opts.drc);
+  for (auto _ : state) {
+    std::size_t violations = 0;
+    for (const auto& [t, rules] : traces) {
+      violations += checker.check_obstacles(*t, rules, index).size();
+    }
+    benchmark::DoNotOptimize(violations);
+  }
+  state.SetLabel(sc.spec.name);
+  state.counters["traces"] = static_cast<double>(traces.size());
+  state.counters["segments"] = static_cast<double>(segments);
+}
+BENCHMARK(BM_ObstacleIndexQuery)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
+
 }  // namespace
 
 BENCHMARK_MAIN();
