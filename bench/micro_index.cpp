@@ -41,13 +41,14 @@ std::vector<lmr::geom::Segment> random_segments(std::size_t n) {
 /// The inserts plus the first query, which builds the grid.
 void BM_SegGridBuild(benchmark::State& state) {
   const auto segs = random_segments(static_cast<std::size_t>(state.range(0)));
+  lmr::index::SegGrid::Scratch scratch;
   for (auto _ : state) {
     lmr::index::SegGrid grid(20.0);
     for (std::size_t i = 0; i < segs.size(); ++i) {
       grid.insert(segs[i], static_cast<std::uint64_t>(i));
     }
     std::size_t count = 0;
-    grid.visit({{500.0, 500.0}, {520.0, 520.0}}, [&](const auto&) {
+    grid.visit({{500.0, 500.0}, {520.0, 520.0}}, scratch, [&](const auto&) {
       ++count;
       return true;
     });
@@ -63,12 +64,13 @@ void BM_SegGridQuerySmallWindow(benchmark::State& state) {
   for (std::size_t i = 0; i < segs.size(); ++i) {
     grid.insert(segs[i], static_cast<std::uint64_t>(i));
   }
+  lmr::index::SegGrid::Scratch scratch;
   std::mt19937_64 rng(7);
   std::uniform_real_distribution<double> u(0.0, 980.0);
   for (auto _ : state) {
     const double x = u(rng), y = u(rng);
     std::size_t count = 0;
-    grid.visit({{x, y}, {x + 20.0, y + 20.0}}, [&](const auto&) {
+    grid.visit({{x, y}, {x + 20.0, y + 20.0}}, scratch, [&](const auto&) {
       ++count;
       return true;
     });

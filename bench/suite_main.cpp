@@ -3,20 +3,18 @@
 /// tracked results file (see EXPERIMENTS.md "Benchmark suite").
 ///
 ///   bench_suite [--smoke] [--out PATH] [--family NAME]... [--threads N]
-///               [--no-drc] [--scaling] [--edit-storm] [--service]
+///               [--no-drc] [--edit-storm] [--service]
 ///               [--fault-storm] [--seed N] [--list]
 ///   bench_suite --compare A B
 ///
 /// Exit code 0 when every case is ok (matched where expected, DRC-clean).
 /// Timings, run context and the sections below land under the document's
-/// one volatile member (report.hpp). `--scaling` additionally sweeps thread
-/// counts over the parallelism workloads (`large_group`, `multi_group`,
-/// `mega_board`) and attaches the speedup curve under `"scaling"`;
-/// `--edit-storm` replays the seeded edit scripts on live sessions under
-/// `"edit_storm"` and *fails the run* unless every incremental end state is
-/// bit-identical to a fresh route of the edited board; `--service` replays
-/// the multi-board service_storm streams through a RoutingService at every
-/// default scaling thread count under `"service"`, with the same hard
+/// one volatile member (report.hpp). `--edit-storm` replays the seeded edit
+/// scripts on live sessions under `"edit_storm"` and *fails the run* unless
+/// every incremental end state is bit-identical to a fresh route of the
+/// edited board; `--service` replays the multi-board service_storm streams
+/// through a RoutingService at every default thread count
+/// (Suite::default_scaling_threads) under `"service"`, with the same hard
 /// bit-identical-per-board gate (evictions and thaws included);
 /// `--fault-storm` replays the seeded fault_storm catalogue (transient
 /// faults, deadline timeouts, quarantine + resurrect) at the same thread
@@ -42,7 +40,7 @@ namespace {
 void usage(const char* argv0) {
   std::printf(
       "usage: %s [--smoke] [--out PATH] [--family NAME]... [--threads N] [--no-drc] "
-      "[--scaling] [--edit-storm] [--service] [--fault-storm] "
+      "[--edit-storm] [--service] [--fault-storm] "
       "[--seed N] [--list]\n"
       "       %s --compare A B\n"
       "  --smoke        tiny per-family variants (CI-sized seeds)\n"
@@ -50,8 +48,6 @@ void usage(const char* argv0) {
       "  --family NAME  run only this family (repeatable; default all)\n"
       "  --threads N    pool parallelism across cases/groups/members (0 = hardware)\n"
       "  --no-drc       skip the final oracle sweep\n"
-      "  --scaling      also sweep thread counts on large_group/multi_group/\n"
-      "                 mega_board (speedup curve)\n"
       "  --edit-storm   also replay seeded edit scripts on live sessions; fails\n"
       "                 unless each end state matches a fresh route bit for bit\n"
       "  --service      also replay multi-board service storms through a\n"
@@ -139,7 +135,6 @@ bool report_storms(lmr::bench::Json& doc, const char* key, const char* title,
 int main(int argc, char** argv) {
   lmr::bench::SuiteOptions opts;
   std::string out_path = "BENCH_results.json";
-  bool scaling = false;
   bool edit_storm = false;
   bool service = false;
   bool fault_storm = false;
@@ -149,8 +144,6 @@ int main(int argc, char** argv) {
     const std::string arg = argv[i];
     if (arg == "--smoke") {
       opts.smoke = true;
-    } else if (arg == "--scaling") {
-      scaling = true;
     } else if (arg == "--edit-storm") {
       edit_storm = true;
     } else if (arg == "--service") {
@@ -216,25 +209,6 @@ int main(int argc, char** argv) {
   lmr::bench::Json doc = lmr::bench::Suite::to_json(result, opts);
 
   const std::vector<std::size_t> counts = lmr::bench::Suite::default_scaling_threads();
-  if (scaling) {
-    std::vector<lmr::bench::ScalingCurve> curves;
-    try {
-      curves = lmr::bench::Suite::run_scaling(
-          opts, {"large_group", "multi_group", "mega_board"}, counts);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "scaling sweep failed: %s\n", e.what());
-      return 2;
-    }
-    std::printf("\nscaling sweep (speedup vs 1 thread):\n");
-    std::printf("%-16s %-8s %-10s %-8s\n", "family", "threads", "t[s]", "speedup");
-    for (const lmr::bench::ScalingCurve& c : curves) {
-      for (const lmr::bench::ScalingPoint& p : c.points) {
-        std::printf("%-16s %-8zu %-10.3f %-8.2f\n", c.family.c_str(), p.threads,
-                    p.runtime_s, p.speedup);
-      }
-    }
-    doc[lmr::bench::kVolatile]["scaling"] = lmr::bench::Suite::scaling_json(curves);
-  }
 
   bool storms_ok = true;
   if (edit_storm) {

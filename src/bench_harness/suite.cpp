@@ -212,39 +212,6 @@ std::vector<std::size_t> Suite::default_scaling_threads() {
   return counts;
 }
 
-std::vector<ScalingCurve> Suite::run_scaling(const SuiteOptions& base,
-                                             const std::vector<std::string>& families,
-                                             const std::vector<std::size_t>& thread_counts) {
-  std::vector<ScalingCurve> curves;
-  for (const std::string& fam : families) {
-    ScalingCurve curve;
-    curve.family = fam;
-    double t_ref = 0.0;
-    for (const std::size_t threads : thread_counts) {
-      SuiteOptions opts = base;
-      opts.families = {fam};
-      opts.threads = threads;
-      const Suite suite(opts);
-      const SuiteResult r = suite.run();
-      ScalingPoint p;
-      p.threads = threads;
-      p.runtime_s = r.runtime_s;
-      // The first entry is the baseline by position (conventionally 1
-      // thread); its speedup is 1 by definition even if the clock
-      // resolution rounds a smoke-sized run down to zero.
-      if (curve.points.empty()) {
-        t_ref = r.runtime_s;
-        p.speedup = 1.0;
-      } else {
-        p.speedup = p.runtime_s > 0.0 ? t_ref / p.runtime_s : 0.0;
-      }
-      curve.points.push_back(p);
-    }
-    curves.push_back(std::move(curve));
-  }
-  return curves;
-}
-
 std::vector<EditStormOutcome> Suite::run_edit_storm() const {
   std::vector<EditStormOutcome> storms;
   for (const scenario::EditStormCase& c : scenario::edit_storm_cases(opts_.smoke)) {
@@ -591,25 +558,6 @@ Json Suite::storm_json(const std::vector<StormOutcome>& storms) {
     out.push_back(std::move(js));
   }
   return out;
-}
-
-Json Suite::scaling_json(const std::vector<ScalingCurve>& curves) {
-  Json jcurves = Json::array();
-  for (const ScalingCurve& c : curves) {
-    Json jc = Json::object();
-    jc["family"] = c.family;
-    Json jpoints = Json::array();
-    for (const ScalingPoint& p : c.points) {
-      Json jp = Json::object();
-      jp["threads"] = static_cast<std::int64_t>(p.threads);
-      jp["runtime_s"] = p.runtime_s;
-      jp["speedup"] = p.speedup;
-      jpoints.push_back(std::move(jp));
-    }
-    jc["points"] = std::move(jpoints);
-    jcurves.push_back(std::move(jc));
-  }
-  return jcurves;
 }
 
 Json Suite::to_json(const SuiteResult& result, const SuiteOptions& opts) {

@@ -12,9 +12,8 @@
 /// conventions of report.hpp: the run context and every timing go under
 /// the one `kVolatile` member, so `BENCH_results.json` can be committed and
 /// re-generated bit-identically modulo that member from the same seeds.
-/// `run_scaling` sweeps thread counts over selected families and reports
-/// the speedup curve; `run_edit_storm`, `run_service` and `run_fault_storm`
-/// replay the live-edit workloads against fresh-route oracles.
+/// `run_edit_storm`, `run_service` and `run_fault_storm` replay the
+/// live-edit workloads against fresh-route oracles.
 
 #include <cstdint>
 #include <optional>
@@ -96,23 +95,6 @@ struct SuiteResult {
   double runtime_s = 0.0;
 
   [[nodiscard]] bool all_ok() const;
-};
-
-/// One measured point of a thread-count sweep.
-struct ScalingPoint {
-  std::size_t threads = 0;
-  double runtime_s = 0.0;
-  /// Baseline runtime / runtime at `threads`. The baseline is the sweep's
-  /// *first* entry by position (1.0 there by definition); pass 1 as the
-  /// first thread count — as `default_scaling_threads()` does — to read
-  /// this as absolute speedup over serial.
-  double speedup = 0.0;
-};
-
-/// The speedup curve of one family under the sweep.
-struct ScalingCurve {
-  std::string family;
-  std::vector<ScalingPoint> points;  ///< in `thread_counts` order
 };
 
 /// One `Session::apply` of an edit storm.
@@ -216,22 +198,10 @@ class Suite {
   /// families and specs.
   [[nodiscard]] static Json to_json(const SuiteResult& result, const SuiteOptions& opts);
 
-  /// Thread-count sweep: rerun `families` once per entry of
-  /// `thread_counts` (each through its own pinned-size pool) and report
-  /// wall-clock plus speedup relative to the first entry — conventionally
-  /// 1, giving the absolute scaling curve. Quality metrics are discarded:
-  /// they are thread-count-invariant by construction (and separately
-  /// enforced by the reproducibility tests); only the timings differ.
-  [[nodiscard]] static std::vector<ScalingCurve> run_scaling(
-      const SuiteOptions& base, const std::vector<std::string>& families,
-      const std::vector<std::size_t>& thread_counts);
-
-  /// Default sweep {1, 2, 4, (hardware if > 4)} — small enough for CI,
-  /// wide enough to see the knee.
+  /// The thread counts the service and fault storms replay at:
+  /// {1, 2, 4, (hardware if > 4)} — small enough for CI, wide enough to
+  /// cover the serial path, the pool and the host.
   [[nodiscard]] static std::vector<std::size_t> default_scaling_threads();
-
-  /// `"scaling"` section for a result document's `kVolatile` member.
-  [[nodiscard]] static Json scaling_json(const std::vector<ScalingCurve>& curves);
 
   /// Replay the edit-storm catalogue (scenario::edit_storm_cases) on live
   /// Sessions sharing this Suite's pool and options: route the pristine

@@ -323,17 +323,6 @@ double local_restore_pitch(const geom::Polyline& reference,
 
 double compensate_skew(layout::DiffPair& pair, const drc::DesignRules& sub_rules,
                        const layout::RoutableArea* area,
-                       const std::vector<layout::Obstacle>* obstacles) {
-  if (obstacles == nullptr) {
-    return compensate_skew(pair, sub_rules, area,
-                           static_cast<const layout::ObstacleIndex*>(nullptr));
-  }
-  const layout::ObstacleIndex index(*obstacles);
-  return compensate_skew(pair, sub_rules, area, &index);
-}
-
-double compensate_skew(layout::DiffPair& pair, const drc::DesignRules& sub_rules,
-                       const layout::RoutableArea* area,
                        const layout::ObstacleIndex* obstacles) {
   const double lp = pair.positive.path.length();
   const double ln = pair.negative.path.length();

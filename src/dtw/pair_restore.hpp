@@ -112,21 +112,15 @@ struct RestoreSpec {
 /// skipped (skew already negligible). Hosts are tried longest-first and each
 /// candidate splice is validated through the DRC oracle (self rules, and —
 /// when `area` / `obstacles` are given — containment and obstacle
-/// clearance): the hat pokes *away* from the partner sub-trace, straight
-/// into the via field, so splicing blind can leave the routing area, crowd
-/// an obstacle, or close under the gap rule against a neighbouring meander
-/// leg. A host whose splice would add any violation is rejected in favour of
-/// the next-longest. Returns the residual skew after compensation (unchanged
+/// clearance, through an obstacle index; the Router shares one per route
+/// call): the hat pokes *away* from the partner sub-trace, straight into the
+/// via field, so splicing blind can leave the routing area, crowd an
+/// obstacle, or close under the gap rule against a neighbouring meander leg.
+/// A host whose splice would add any violation is rejected in favour of the
+/// next-longest. Returns the residual skew after compensation (unchanged
 /// when no host fits).
 double compensate_skew(layout::DiffPair& pair, const drc::DesignRules& sub_rules,
                        const layout::RoutableArea* area = nullptr,
-                       const std::vector<layout::Obstacle>* obstacles = nullptr);
-
-/// Same, with obstacle clearance checked through a prebuilt index (the
-/// Router shares one per route call); the vector overload builds one. Null
-/// behaves like the obstacle-less overload.
-double compensate_skew(layout::DiffPair& pair, const drc::DesignRules& sub_rules,
-                       const layout::RoutableArea* area,
-                       const layout::ObstacleIndex* obstacles);
+                       const layout::ObstacleIndex* obstacles = nullptr);
 
 }  // namespace lmr::dtw

@@ -22,8 +22,9 @@
 ///
 /// Use `TaskPool::shared()` (lazy singleton sized to the hardware) for
 /// default-configured callers, or construct explicit instances to pin a
-/// worker count (the `--scaling` sweep, tests). `resolve_threads` is the
-/// single source of truth for the user-facing "0 = hardware" convention.
+/// worker count (`bench_suite --threads N`, the storm replays, tests).
+/// `resolve_threads` is the single source of truth for the user-facing
+/// "0 = hardware" convention.
 
 #include <algorithm>
 #include <atomic>

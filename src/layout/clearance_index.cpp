@@ -113,7 +113,7 @@ std::vector<Violation> ClearanceIndex::sweep() const {
     const std::uint64_t floor = static_cast<std::uint64_t>(std::min(first_clean, t + 1)) << 32;
     for (std::uint32_t seg_idx = 0; seg_idx < path.segment_count(); ++seg_idx) {
       const geom::Box window = path.segment(seg_idx).bbox().inflated(inflate);
-      grid_.visit_above(window, floor, [&](const index::SegGrid::Entry& e) {
+      grid_.visit_above(window, floor, scratch_, [&](const index::SegGrid::Entry& e) {
         const auto u = static_cast<std::uint32_t>(e.payload >> 32);
         const auto seg_u = static_cast<std::uint32_t>(e.payload & 0xffffffffu);
         // Same net covers u == t; a lower dirty slot already queried t.

@@ -28,7 +28,9 @@
 ///     record the segments, and its first window query builds the grid's
 ///     dense cell arrays in one counting sort, sized to what was inserted.
 ///     Later sweeps edit the built grid's per-cell lists for the dirty
-///     slots' segments only. A sweep with no intervening insert/remove
+///     slots' segments only. The built grid keeps no query state: the
+///     sweep's window queries dedupe through the index's own
+///     index::SegGrid::Scratch. A sweep with no intervening insert/remove
 ///     returns the cached violations without touching the grid at all.
 ///     `sweep()` must not race with `insert`/`remove` or another `sweep`
 ///     on the same index — it is the barrier.
@@ -131,6 +133,7 @@ class ClearanceIndex {
 
   // --- sweep state (only touched inside sweep(), which is the barrier) ---
   mutable index::SegGrid grid_;  ///< payload packs (slot << 32) | segment
+  mutable index::SegGrid::Scratch scratch_;  ///< the sweep's query stamps
   mutable std::vector<std::vector<std::uint32_t>> grid_ids_;  ///< per slot: entry ids
   mutable std::vector<std::uint64_t> grid_built_epoch_;       ///< per slot, at build
   /// Last sweep's output. The next sweep keeps the entries whose two slots

@@ -52,6 +52,7 @@ void sprinkle_vias(layout::Layout& l, layout::RoutableArea& area, std::mt19937_6
   // stream is consumed identically, so generated boards are unchanged.
   const double probe = std::max(3.0 * r, clear);
   index::SegGrid grid(probe);
+  index::SegGrid::Scratch scratch;
   std::vector<Point> centers;  // hole centroids, indexed by grid payload
   constexpr std::uint64_t kHoleBit = std::uint64_t{1} << 32;
   const auto add_center = [&](const Point& c) {
@@ -68,7 +69,7 @@ void sprinkle_vias(layout::Layout& l, layout::RoutableArea& area, std::mt19937_6
     const Point c{workload::uniform_real(rng, x0 + 2.0, x1 - 2.0),
                   workload::uniform_real(rng, y_lo + r, y_hi - r)};
     bool clash = false;
-    grid.visit(geom::Box{c, c}.inflated(probe), [&](const index::SegGrid::Entry& e) {
+    grid.visit(geom::Box{c, c}.inflated(probe), scratch, [&](const index::SegGrid::Entry& e) {
       if ((e.payload & kHoleBit) != 0) {
         if (geom::dist(centers[e.payload & 0xffffffffu], c) < 3.0 * r) clash = true;
       } else if (geom::dist_point_segment(c, e.seg) < clear) {

@@ -168,33 +168,8 @@ TEST(Suite, PoolPolicySelection) {
   ASSERT_NE(suite.pool(), nullptr);
   EXPECT_NE(suite.pool(), &exec::TaskPool::shared());
   EXPECT_EQ(suite.pool()->parallelism(), 4u);
-}
 
-TEST(Suite, ScalingSweepMeasuresEveryThreadCount) {
-  SuiteOptions base;
-  base.smoke = true;
-  const std::vector<std::size_t> counts = {1, 2};
-  const auto curves = Suite::run_scaling(base, {"multi_group"}, counts);
-  ASSERT_EQ(curves.size(), 1u);
-  EXPECT_EQ(curves[0].family, "multi_group");
-  ASSERT_EQ(curves[0].points.size(), 2u);
-  EXPECT_EQ(curves[0].points[0].threads, 1u);
-  EXPECT_DOUBLE_EQ(curves[0].points[0].speedup, 1.0);  // reference point
-  EXPECT_EQ(curves[0].points[1].threads, 2u);
-  EXPECT_GT(curves[0].points[1].runtime_s, 0.0);
-  EXPECT_GT(curves[0].points[1].speedup, 0.0);
-
-  // The JSON section lives under the volatile member (timing-only), so it
-  // strips away entirely.
-  const Json jscaling = Suite::scaling_json(curves);
-  ASSERT_EQ(jscaling.items().size(), 1u);
-  EXPECT_EQ(jscaling.items()[0].find("family")->as_string(), "multi_group");
-  EXPECT_EQ(jscaling.items()[0].find("points")->items().size(), 2u);
-  Json doc = Json::object();
-  doc["schema"] = "x";
-  doc[kVolatile]["scaling"] = jscaling;
-  EXPECT_EQ(strip_volatile(doc).dump(2), "{\n  \"schema\": \"x\"\n}");
-
+  // The service and fault storms replay serially first.
   EXPECT_FALSE(Suite::default_scaling_threads().empty());
   EXPECT_EQ(Suite::default_scaling_threads().front(), 1u);
 }

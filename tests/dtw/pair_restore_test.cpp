@@ -259,7 +259,8 @@ TEST(CompensateSkew, ObstacleOverLongestHostFallsBackToNextLongest) {
   const std::vector<layout::Obstacle> obstacles{
       {geom::Polygon::rect({{8.0, 1.2}, {12.0, 2.2}}), "via"}};
   const double before = std::abs(pair.positive.path.length() - pair.negative.path.length());
-  const double after = compensate_skew(pair, rules, nullptr, &obstacles);
+  const layout::ObstacleIndex index(obstacles);
+  const double after = compensate_skew(pair, rules, nullptr, &index);
   EXPECT_NEAR(after, 0.0, 1e-9);
   EXPECT_LT(after, before);
   // The pattern landed on the second host (x > 20), not under the via.

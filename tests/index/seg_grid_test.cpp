@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <random>
+#include <thread>
 #include <vector>
 
 #include "index/seg_grid.hpp"
@@ -78,6 +79,7 @@ TEST(SegGrid, WindowQueryIsSupersetOfExactIntersections) {
   std::mt19937_64 rng(42);
   const std::vector<Segment> segs = mixed_segments(rng, 200);
   SegGrid grid(2.5);
+  SegGrid::Scratch scratch;
   for (std::size_t i = 0; i < segs.size(); ++i) {
     grid.insert(segs[i], i);
   }
@@ -89,7 +91,7 @@ TEST(SegGrid, WindowQueryIsSupersetOfExactIntersections) {
     const Point lo{u(rng), u(rng)};
     const Box box{lo, {lo.x + w(rng), lo.y + w(rng)}};
     std::vector<bool> seen(segs.size(), false);
-    grid.visit(box, [&](const SegGrid::Entry& e) {
+    grid.visit(box, scratch, [&](const SegGrid::Entry& e) {
       EXPECT_FALSE(seen[e.payload]) << "entry reported twice in one query";
       seen[e.payload] = true;
       return true;
@@ -107,13 +109,14 @@ TEST(SegGrid, LongDiagonalNeverMissedAlongItsRun) {
   // point of the segment must report it (the sampled walk's 3x3
   // neighborhoods must cover the true geometry).
   SegGrid grid(1.0);
+  SegGrid::Scratch scratch;
   const Segment diag{{0.0, 0.0}, {400.0, 173.0}};
   grid.insert(diag, 7);
   for (int k = 0; k <= 1000; ++k) {
     const double t = static_cast<double>(k) / 1000.0;
     const Point p = diag.at(t);
     bool found = false;
-    grid.visit(Box{p, p}.inflated(0.25), [&](const SegGrid::Entry& e) {
+    grid.visit(Box{p, p}.inflated(0.25), scratch, [&](const SegGrid::Entry& e) {
       found = e.payload == 7;
       return !found;
     });
@@ -123,6 +126,7 @@ TEST(SegGrid, LongDiagonalNeverMissedAlongItsRun) {
 
 TEST(SegGrid, RemoveForgetsAndIdsRecycle) {
   SegGrid grid(2.0);
+  SegGrid::Scratch scratch;
   const std::uint32_t a = grid.insert({{0, 0}, {5, 0}}, 1);
   const std::uint32_t b = grid.insert({{0, 3}, {5, 3}}, 2);
   EXPECT_EQ(grid.size(), 2u);
@@ -130,7 +134,7 @@ TEST(SegGrid, RemoveForgetsAndIdsRecycle) {
   EXPECT_EQ(grid.size(), 1u);
 
   std::size_t hits = 0;
-  grid.visit(Box{{-1, -1}, {6, 4}}, [&](const SegGrid::Entry& e) {
+  grid.visit(Box{{-1, -1}, {6, 4}}, scratch, [&](const SegGrid::Entry& e) {
     EXPECT_EQ(e.payload, 2u);
     ++hits;
     return true;
@@ -141,8 +145,8 @@ TEST(SegGrid, RemoveForgetsAndIdsRecycle) {
   const std::uint32_t c = grid.insert({{10, 10}, {12, 10}}, 3);
   EXPECT_EQ(c, a);
   bool found = false;
-  grid.visit(Box{{9, 9}, {13, 11}}, [&](const SegGrid::Entry& e) {
-    found = e.payload == 3;
+  grid.visit(Box{{9, 9}, {13, 11}}, scratch, [&](const SegGrid::Entry& e) {
+    found = found || e.payload == 3;
     return true;
   });
   EXPECT_TRUE(found);
@@ -154,6 +158,7 @@ TEST(SegGrid, VisitAboveFiltersByPayloadFloor) {
   // every lower-slot entry, including after removals leave a cell's cached
   // max payload stale-high (prune-only metadata).
   SegGrid grid(2.0);
+  SegGrid::Scratch scratch;
   std::vector<std::uint32_t> ids;
   for (std::uint64_t p = 0; p < 8; ++p) {
     ids.push_back(grid.insert({{0.0, 0.5 * static_cast<double>(p)}, {4.0, 0.5 * static_cast<double>(p)}}, p));
@@ -161,7 +166,7 @@ TEST(SegGrid, VisitAboveFiltersByPayloadFloor) {
   const Box all{{-1, -1}, {5, 5}};
 
   std::vector<std::uint64_t> seen;
-  grid.visit_above(all, 5, [&](const SegGrid::Entry& e) {
+  grid.visit_above(all, 5, scratch, [&](const SegGrid::Entry& e) {
     seen.push_back(e.payload);
     return true;
   });
@@ -171,7 +176,7 @@ TEST(SegGrid, VisitAboveFiltersByPayloadFloor) {
   // Remove the max-payload entry: the stale cell max must not resurrect it.
   grid.remove(ids[7]);
   seen.clear();
-  grid.visit_above(all, 5, [&](const SegGrid::Entry& e) {
+  grid.visit_above(all, 5, scratch, [&](const SegGrid::Entry& e) {
     seen.push_back(e.payload);
     return true;
   });
@@ -181,12 +186,13 @@ TEST(SegGrid, VisitAboveFiltersByPayloadFloor) {
 
 TEST(SegGrid, EarlyStopAndReset) {
   SegGrid grid(1.0);
+  SegGrid::Scratch scratch;
   for (int i = 0; i < 10; ++i) {
     grid.insert({{static_cast<double>(i), 0.0}, {static_cast<double>(i) + 0.5, 0.0}},
                 static_cast<std::uint64_t>(i));
   }
   std::size_t visits = 0;
-  grid.visit(Box{{-1, -1}, {11, 1}}, [&](const SegGrid::Entry&) {
+  grid.visit(Box{{-1, -1}, {11, 1}}, scratch, [&](const SegGrid::Entry&) {
     ++visits;
     return false;  // stop after the first
   });
@@ -196,7 +202,7 @@ TEST(SegGrid, EarlyStopAndReset) {
   EXPECT_TRUE(grid.empty());
   EXPECT_EQ(grid.cell(), 3.0);
   visits = 0;
-  grid.visit(Box{{-10, -10}, {20, 20}}, [&](const SegGrid::Entry&) {
+  grid.visit(Box{{-10, -10}, {20, 20}}, scratch, [&](const SegGrid::Entry&) {
     ++visits;
     return true;
   });
@@ -208,6 +214,7 @@ TEST(SegGrid, ChurnKeepsSupersetGuarantee) {
   // stay exact-superset through id recycling and extent growth.
   std::mt19937_64 rng(7);
   SegGrid grid(2.0);
+  SegGrid::Scratch scratch;
   struct LiveSeg {
     std::uint32_t id;
     Segment seg;
@@ -233,7 +240,7 @@ TEST(SegGrid, ChurnKeepsSupersetGuarantee) {
     const Point lo{u(rng), u(rng)};
     const Box box{lo, {lo.x + 10.0, lo.y + 10.0}};
     std::vector<std::uint64_t> reported;
-    grid.visit(box, [&](const SegGrid::Entry& e) {
+    grid.visit(box, scratch, [&](const SegGrid::Entry& e) {
       reported.push_back(e.payload);
       return true;
     });
@@ -256,7 +263,8 @@ TEST(SegGrid, ChurnKeepsSupersetGuarantee) {
 std::vector<std::uint64_t> reported(const SegGrid& grid, const Box& box,
                                     std::uint64_t floor = 0) {
   std::vector<std::uint64_t> out;
-  grid.visit_above(box, floor, [&](const SegGrid::Entry& e) {
+  SegGrid::Scratch scratch;
+  grid.visit_above(box, floor, scratch, [&](const SegGrid::Entry& e) {
     out.push_back(e.payload);
     return true;
   });
@@ -426,6 +434,59 @@ TEST(SegGrid, ChurnAcrossTheBuildKeepsTheContract) {
     } else {
       EXPECT_EQ(grid.cell(), 2.0);
     }
+  }
+}
+
+TEST(SegGrid, ConcurrentQueriesOnABuiltGridMatchSerial) {
+  // A built grid keeps no query state: each thread brings its own Scratch.
+  // Four threads query one grid with the same seeded windows, payload
+  // floors included, and each must get the serial run's answers. The grid
+  // is edited after its build first, so the threads also read edited cell
+  // lists and the always-visited list.
+  std::mt19937_64 rng(2026);
+  const std::vector<Segment> segs = mixed_segments(rng, 400);
+  SegGrid grid(2.5);
+  std::vector<std::uint32_t> ids;
+  for (std::size_t i = 0; i < 300; ++i) ids.push_back(grid.insert(segs[i], i));
+  (void)reported(grid, Box{{0, 0}, {1, 1}});  // builds the grid
+  for (std::size_t i = 300; i < segs.size(); ++i) grid.insert(segs[i], i);
+  for (std::size_t i = 0; i < 300; i += 7) grid.remove(ids[i]);
+  grid.insert({{-50, -50}, {-49, 260}}, 1000);
+  grid.insert({{5, 5}, {std::numeric_limits<double>::infinity(), 5}}, 1001);
+
+  std::uniform_real_distribution<double> u(-20.0, 120.0);
+  std::uniform_real_distribution<double> w(0.1, 20.0);
+  std::vector<std::pair<Box, std::uint64_t>> queries;
+  for (int q = 0; q < 400; ++q) {
+    const Point lo{u(rng), u(rng)};
+    queries.emplace_back(Box{lo, {lo.x + w(rng), lo.y + w(rng)}}, q % 3 == 0 ? 250 : 0);
+  }
+  const auto answers = [&](SegGrid::Scratch& scratch) {
+    std::vector<std::vector<std::uint64_t>> out;
+    for (const auto& [box, floor] : queries) {
+      std::vector<std::uint64_t>& got = out.emplace_back();
+      grid.visit_above(box, floor, scratch, [&](const SegGrid::Entry& e) {
+        got.push_back(e.payload);
+        return true;
+      });
+      std::sort(got.begin(), got.end());
+    }
+    return out;
+  };
+  SegGrid::Scratch serial_scratch;
+  const std::vector<std::vector<std::uint64_t>> serial = answers(serial_scratch);
+
+  std::vector<std::vector<std::vector<std::uint64_t>>> per_thread(4);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < per_thread.size(); ++t) {
+    threads.emplace_back([&, t] {
+      SegGrid::Scratch scratch;
+      per_thread[t] = answers(scratch);
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (std::size_t t = 0; t < per_thread.size(); ++t) {
+    EXPECT_EQ(per_thread[t], serial) << "thread " << t;
   }
 }
 

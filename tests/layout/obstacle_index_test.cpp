@@ -56,7 +56,7 @@ std::vector<Obstacle> random_obstacles(std::mt19937_64& rng, std::size_t n) {
 
 /// A random field plus every hostile case: empty and point polygons, a
 /// NaN vertex, a board-sized keepout, far outliers (gridded and beyond
-/// ObstacleIndex::kGridLimit) and non-finite bboxes.
+/// index::GridCore::kLimit) and non-finite bboxes.
 std::vector<Obstacle> hostile_obstacles(std::mt19937_64& rng) {
   std::vector<Obstacle> obs = random_obstacles(rng, 120);
   for (const Obstacle& o :
